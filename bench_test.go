@@ -288,6 +288,26 @@ func BenchmarkCostModelInferenceWorkers(b *testing.B) {
 	}
 }
 
+// BenchmarkRecommendResources sweeps one plan across the 60-point default
+// grid on a warm encode cache: one cache lookup and one plan-side forward
+// pass, then a 60-row resource-attention and dense head. Run with
+// -benchmem; allocs/op is gated by TestRecommendResourcesAllocsPerOpCeiling.
+func BenchmarkRecommendResources(b *testing.B) {
+	sys, _, cm := privateCostModel(b)
+	cm.EnableEncodeCache(256)
+	plans, err := sys.Plan(`SELECT COUNT(*) FROM title t, movie_companies mc WHERE t.id = mc.movie_id`)
+	if err != nil {
+		b.Fatal(err)
+	}
+	grid := DefaultResourceGrid()
+	cm.RecommendResources(plans[0], grid)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cm.RecommendResources(plans[0], grid)
+	}
+}
+
 func BenchmarkSimulatorEstimate(b *testing.B) {
 	lab := sharedBenchLab(b)
 	if len(lab.TestRecs) == 0 {

@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math"
 
 	"raal/internal/core"
 	"raal/internal/encode"
@@ -430,24 +431,25 @@ func (cm *CostModel) RecommendResources(p *Plan, grid []Resources) (Resources, f
 // opt (the grid is scored through the same worker-pool path as
 // EstimateBatchWith).
 func (cm *CostModel) RecommendResourcesWith(p *Plan, grid []Resources, opt core.PredictOpts) (Resources, float64) {
-	if len(grid) == 0 {
-		return Resources{}, 0
-	}
-	cm.api.recommends.Inc()
-	preds := cm.predictWith(cm.gridSamples(p, grid), opt)
-	best := argmin(preds)
-	return grid[best], preds[best]
+	res, cost, _ := cm.recommend(context.Background(), p, grid, opt) // Background never cancels
+	return res, cost
 }
 
 // RecommendResourcesCtx is RecommendResources with cooperative
 // cancellation; a cancelled or expired context aborts the grid sweep
 // within one chunk and returns ctx.Err().
 func (cm *CostModel) RecommendResourcesCtx(ctx context.Context, p *Plan, grid []Resources) (Resources, float64, error) {
+	return cm.recommend(ctx, p, grid, core.PredictOpts{})
+}
+
+// recommend is the grid sweep behind every RecommendResources variant. An
+// empty grid yields the zero allocation and no error.
+func (cm *CostModel) recommend(ctx context.Context, p *Plan, grid []Resources, opt core.PredictOpts) (Resources, float64, error) {
 	if len(grid) == 0 {
 		return Resources{}, 0, nil
 	}
 	cm.api.recommends.Inc()
-	preds, err := cm.predictCtx(ctx, cm.gridSamples(p, grid), core.PredictOpts{})
+	preds, err := cm.predictCtx(ctx, cm.gridSamples(p, grid), opt)
 	if err != nil {
 		return Resources{}, 0, err
 	}
@@ -455,23 +457,38 @@ func (cm *CostModel) RecommendResourcesCtx(ctx context.Context, p *Plan, grid []
 	return grid[best], preds[best], nil
 }
 
+// gridSamples encodes p once — one encode-cache lookup — and returns one
+// shallow copy of that sample per allocation, each with its own freshly
+// encoded Resource vector. The copies share the plan's Nodes matrix, which
+// is how the forward pass recognizes them as one plan and runs its
+// plan-side layers once for the whole grid. The encoded (possibly cached)
+// sample itself is never mutated.
 func (cm *CostModel) gridSamples(p *Plan, grid []Resources) []*Sample {
+	base := cm.encodePlan(p, grid[0])
+	copies := make([]Sample, len(grid))
 	samples := make([]*Sample, len(grid))
 	for i, res := range grid {
-		samples[i] = cm.encodePlan(p, res)
+		copies[i] = *base
+		copies[i].Resource = cm.enc.EncodeResource(res)
+		samples[i] = &copies[i]
 	}
 	return samples
 }
 
-// argmin returns the index of the smallest value (first on ties).
+// argmin returns the index of the smallest finite value (first on ties).
+// NaN and ±Inf predictions are skipped, so a degenerate estimate never
+// wins while a finite candidate exists; when none is finite it returns 0.
 func argmin(xs []float64) int {
-	best := 0
-	for i := range xs {
-		if xs[i] < xs[best] {
+	best := -1
+	for i, x := range xs {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			continue
+		}
+		if best < 0 || x < xs[best] {
 			best = i
 		}
 	}
-	return best
+	return max(best, 0)
 }
 
 // DefaultResourceGrid enumerates the standard allocation lattice

@@ -2,6 +2,8 @@
 // a trained resource-aware cost model, finding the best allocation for a
 // plan is one batched inference over an allocation grid — compare with
 // the sampling-based resource matchers the paper cites (Sec. II, [31,32]).
+// The plan is encoded and run through the plan-side layers once; only the
+// resource attention and the dense head run per allocation.
 //
 //	go run ./examples/resource_recommendation
 package main

@@ -183,41 +183,45 @@ func (m *Model) nodeInput(s *encode.Sample, i int, dst []float64) {
 // batch's longest real plan — padding rows are fully masked downstream, so
 // truncating them is numerically identical and substantially faster.
 //
+// Samples that share a plan encoding (see planGroups) share its plan-side
+// pass: the embed, LSTM/conv, node attention, and resource keys run once
+// per distinct plan, and only the resource query, the resource-attention
+// row, the stats concat, and the dense head run per sample. Every kernel
+// is bit-stable across batch dimensions, so a shared plan's outputs are
+// bit-identical to scoring each sample alone, and a chunk of distinct
+// plans builds exactly the graph it always did.
+//
 // sp, when non-nil, receives the per-stage wall-time breakdown (embed →
 // lstm/conv → attention → dense); a nil span costs one branch per stage
 // boundary.
 func (m *Model) forward(tp *autodiff.Tape, batch []*encode.Sample, sp *telemetry.Span) *autodiff.Var {
-	bsz := len(batch)
-	L := 1
-	for _, s := range batch {
-		if l := activeLen(s); l > L {
-			L = l
-		}
-	}
+	plans, planOf := planGroups(batch)
+	np := len(plans)
+	L := unrollLen(plans)
 	in := m.inputDim()
 
-	// Plan feature layer.
-	perSampleH := make([]*autodiff.Var, bsz) // each L×Hidden
+	// Plan feature layer, once per distinct plan.
+	perPlanH := make([]*autodiff.Var, np) // each L×Hidden
 	if m.lstm != nil {
 		stop := sp.Stage("embed")
-		// One stacked (L·bsz)×in input buffer: row t·bsz+b is sample b's
+		// One stacked (L·np)×in input buffer: row t·np+g is plan g's
 		// node-t row. Arena-backed; nodeInput overwrites every row, so a
 		// recycled matrix needs no clearing beyond what NewMatrix does.
-		x := tp.NewMatrix(L*bsz, in)
+		x := tp.NewMatrix(L*np, in)
 		for t := 0; t < L; t++ {
-			for b, s := range batch {
-				m.nodeInput(s, t, x.Row(t*bsz+b))
+			for g, s := range plans {
+				m.nodeInput(s, t, x.Row(t*np+g))
 			}
 		}
 		stop()
 		stop = sp.Stage("lstm")
 		hs := m.lstm.ForwardStacked(tp, tp.Const(x), L)
-		for b := 0; b < bsz; b++ {
-			perSampleH[b] = tp.GatherRows(hs, b)
+		for g := 0; g < np; g++ {
+			perPlanH[g] = tp.GatherRows(hs, g)
 		}
 		stop()
 	} else {
-		for b, s := range batch {
+		for g, s := range plans {
 			stop := sp.Stage("embed")
 			x := tp.NewMatrix(L, in)
 			for t := 0; t < L; t++ {
@@ -226,43 +230,56 @@ func (m *Model) forward(tp *autodiff.Tape, batch []*encode.Sample, sp *telemetry
 			xc := tp.Const(x)
 			stop()
 			stop = sp.Stage("conv")
-			perSampleH[b] = m.conv.Forward(tp, xc)
+			perPlanH[g] = m.conv.Forward(tp, xc)
 			stop()
 		}
 	}
 
+	// The plan-side attention terms are built lazily, at each plan's first
+	// sample, so a chunk of distinct plans records its ops in the same
+	// order as the per-sample graph (training gradients accumulate in
+	// tape order).
 	stopAttn := sp.Stage("attention")
 	scale := 1 / math.Sqrt(float64(m.Cfg.K))
-	feats := make([]*autodiff.Var, bsz)
+	pooled := make([]*autodiff.Var, np)
+	var keysT []*autodiff.Var // K×L resource keys, transposed
+	if m.Var.ResourceAttention {
+		keysT = make([]*autodiff.Var, np)
+	}
+	feats := make([]*autodiff.Var, len(batch))
 	for b, s := range batch {
-		h := perSampleH[b]
-		mask := s.Mask[:L]
-		var pooled *autodiff.Var
-		if m.Var.NodeAttention {
-			children := make([][]bool, L)
-			for i := 0; i < L; i++ {
-				children[i] = s.Children[i][:L]
+		g := planOf[b]
+		h := perPlanH[g]
+		mask := plans[g].Mask[:L]
+		if pooled[g] == nil {
+			if m.Var.NodeAttention {
+				children := make([][]bool, L)
+				for i := 0; i < L; i++ {
+					children[i] = plans[g].Children[i][:L]
+				}
+				q := tp.MatMul(h, m.wq.Var)
+				k := tp.MatMul(h, m.wk.Var)
+				scores := tp.Scale(tp.MatMul(q, tp.Transpose(k)), scale)
+				attn := tp.SoftmaxRowsMask2D(scores, children)
+				attended := tp.MatMul(attn, h)
+				// Leaves have no children: their attended rows are zero,
+				// so blend with the raw hidden state before pooling.
+				pooled[g] = tp.MeanRowsMasked(tp.Add(attended, h), mask)
+			} else {
+				pooled[g] = tp.MeanRowsMasked(h, mask)
 			}
-			q := tp.MatMul(h, m.wq.Var)
-			k := tp.MatMul(h, m.wk.Var)
-			scores := tp.Scale(tp.MatMul(q, tp.Transpose(k)), scale)
-			attn := tp.SoftmaxRowsMask2D(scores, children)
-			attended := tp.MatMul(attn, h)
-			// Leaves have no children: their attended rows are zero, so
-			// blend with the raw hidden state before pooling.
-			pooled = tp.MeanRowsMasked(tp.Add(attended, h), mask)
-		} else {
-			pooled = tp.MeanRowsMasked(h, mask)
 		}
 
-		parts := []*autodiff.Var{pooled}
+		parts := []*autodiff.Var{pooled[g]}
 		if m.Var.ResourceAttention {
 			rv := tp.NewMatrix(1, len(s.Resource))
 			copy(rv.Data, s.Resource)
 			r := tp.Const(rv)
-			q := tp.MatMul(r, m.wr.Var)                                 // 1×K
-			keys := tp.MatMul(h, m.wrk.Var)                             // L×K
-			scores := tp.Scale(tp.MatMul(q, tp.Transpose(keys)), scale) // 1×L
+			q := tp.MatMul(r, m.wr.Var) // 1×K
+			if keysT[g] == nil {
+				keysT[g] = tp.Transpose(tp.MatMul(h, m.wrk.Var)) // K×L
+			}
+			scores := tp.Scale(tp.MatMul(q, keysT[g]), scale) // 1×L
 			battn := tp.SoftmaxRows(scores, mask)
 			parts = append(parts, tp.MatMul(battn, h)) // 1×Hidden
 		}
@@ -274,6 +291,48 @@ func (m *Model) forward(tp *autodiff.Tape, batch []*encode.Sample, sp *telemetry
 	stopAttn()
 	defer sp.Stage("dense")()
 	return m.head.Forward(tp, tp.ConcatRows(feats...))
+}
+
+// planGroups partitions a chunk by shared plan encoding. Samples share an
+// encoding when their Nodes matrices are pointer-identical — the shallow
+// per-allocation copies a resource sweep makes of one encoded plan — and
+// such samples must then share Mask and Children too; only Resource and
+// Stats may differ. It returns each distinct plan's first sample in order
+// of first appearance, and each sample's index into that list.
+// Independently encoded samples never share a Nodes matrix, so a training
+// batch (or any chunk of distinct plans) is all singleton groups.
+//
+// The search scans the plans seen so far from the most recent back: a
+// sweep's copies are contiguous, so each matches on the first compare,
+// and a default 64-sample chunk of distinct plans costs at most ~2,000
+// pointer compares and no allocation beyond the two result slices.
+func planGroups(batch []*encode.Sample) (plans []*encode.Sample, planOf []int) {
+	plans = make([]*encode.Sample, 0, len(batch))
+	planOf = make([]int, len(batch))
+	for b, s := range batch {
+		g := len(plans) - 1
+		for g >= 0 && plans[g].Nodes != s.Nodes {
+			g--
+		}
+		if g < 0 {
+			g = len(plans)
+			plans = append(plans, s)
+		}
+		planOf[b] = g
+	}
+	return plans, planOf
+}
+
+// unrollLen is the chunk's unroll depth: its longest active plan, at
+// least 1.
+func unrollLen(plans []*encode.Sample) int {
+	L := 1
+	for _, s := range plans {
+		if l := activeLen(s); l > L {
+			L = l
+		}
+	}
+	return L
 }
 
 // replica returns a model that shares m's weight matrices but owns private

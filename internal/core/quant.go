@@ -14,8 +14,8 @@ import (
 	"raal/internal/encode"
 	"raal/internal/metrics"
 	"raal/internal/nn"
-	"raal/internal/tensor"
 	"raal/internal/telemetry"
+	"raal/internal/tensor"
 )
 
 // Precision selects the numeric format an inference path runs in. Models
@@ -191,36 +191,33 @@ func (q *QModel) nodeInput32(s *encode.Sample, i int, dst []float32) {
 }
 
 // forward32 mirrors Model.forward on the f32 tape: same graph, same
-// masks, same unroll truncation, same stage boundaries (embed →
-// lstm/conv → attention → dense), with every intermediate stored in f32.
+// masks, same unroll truncation, same plan sharing (see planGroups), same
+// stage boundaries (embed → lstm/conv → attention → dense), with every
+// intermediate stored in f32.
 func (q *QModel) forward32(tp *autodiff.Tape32, batch []*encode.Sample, sp *telemetry.Span) *tensor.Matrix32 {
-	bsz := len(batch)
-	L := 1
-	for _, s := range batch {
-		if l := activeLen(s); l > L {
-			L = l
-		}
-	}
+	plans, planOf := planGroups(batch)
+	np := len(plans)
+	L := unrollLen(plans)
 	in := q.inputDim()
 
-	perSampleH := make([]*tensor.Matrix32, bsz)
+	perPlanH := make([]*tensor.Matrix32, np)
 	if q.lstm != nil {
 		stop := sp.Stage("embed")
-		x := tp.NewMatrix(L*bsz, in)
+		x := tp.NewMatrix(L*np, in)
 		for t := 0; t < L; t++ {
-			for b, s := range batch {
-				q.nodeInput32(s, t, x.Row(t*bsz+b))
+			for g, s := range plans {
+				q.nodeInput32(s, t, x.Row(t*np+g))
 			}
 		}
 		stop()
 		stop = sp.Stage("lstm")
 		hs := q.lstm.ForwardStacked(tp, x, L)
-		for b := 0; b < bsz; b++ {
-			perSampleH[b] = tp.GatherRows(hs, b)
+		for g := 0; g < np; g++ {
+			perPlanH[g] = tp.GatherRows(hs, g)
 		}
 		stop()
 	} else {
-		for b, s := range batch {
+		for g, s := range plans {
 			stop := sp.Stage("embed")
 			x := tp.NewMatrix(L, in)
 			for t := 0; t < L; t++ {
@@ -228,42 +225,51 @@ func (q *QModel) forward32(tp *autodiff.Tape32, batch []*encode.Sample, sp *tele
 			}
 			stop()
 			stop = sp.Stage("conv")
-			perSampleH[b] = q.conv.Forward(tp, x)
+			perPlanH[g] = q.conv.Forward(tp, x)
 			stop()
 		}
 	}
 
 	stopAttn := sp.Stage("attention")
 	scale := float32(1 / math.Sqrt(float64(q.Cfg.K)))
-	feats := make([]*tensor.Matrix32, bsz)
+	pooled := make([]*tensor.Matrix32, np)
+	var keys []*tensor.Matrix32 // L×K resource keys
+	if q.Var.ResourceAttention {
+		keys = make([]*tensor.Matrix32, np)
+	}
+	feats := make([]*tensor.Matrix32, len(batch))
 	for b, s := range batch {
-		h := perSampleH[b]
-		mask := s.Mask[:L]
-		var pooled *tensor.Matrix32
-		if q.Var.NodeAttention {
-			children := make([][]bool, L)
-			for i := 0; i < L; i++ {
-				children[i] = s.Children[i][:L]
+		g := planOf[b]
+		h := perPlanH[g]
+		mask := plans[g].Mask[:L]
+		if pooled[g] == nil {
+			if q.Var.NodeAttention {
+				children := make([][]bool, L)
+				for i := 0; i < L; i++ {
+					children[i] = plans[g].Children[i][:L]
+				}
+				qm := tp.MatMul(h, q.wq)
+				km := tp.MatMul(h, q.wk)
+				scores := tp.Scale(tp.MatMulTransB(qm, km), scale)
+				attn := tp.SoftmaxRowsMask2D(scores, children)
+				attended := tp.MatMul(attn, h)
+				pooled[g] = tp.MeanRowsMasked(tp.Add(attended, h), mask)
+			} else {
+				pooled[g] = tp.MeanRowsMasked(h, mask)
 			}
-			qm := tp.MatMul(h, q.wq)
-			km := tp.MatMul(h, q.wk)
-			scores := tp.Scale(tp.MatMulTransB(qm, km), scale)
-			attn := tp.SoftmaxRowsMask2D(scores, children)
-			attended := tp.MatMul(attn, h)
-			pooled = tp.MeanRowsMasked(tp.Add(attended, h), mask)
-		} else {
-			pooled = tp.MeanRowsMasked(h, mask)
 		}
 
-		parts := []*tensor.Matrix32{pooled}
+		parts := []*tensor.Matrix32{pooled[g]}
 		if q.Var.ResourceAttention {
 			rv := tp.NewMatrix(1, len(s.Resource))
 			for j, v := range s.Resource {
 				rv.Data[j] = float32(v)
 			}
-			qr := tp.MatMul(rv, q.wr)                                 // 1×K
-			keys := tp.MatMul(h, q.wrk)                               // L×K
-			scores := tp.Scale(tp.MatMulTransB(qr, keys), scale)      // 1×L
+			qr := tp.MatMul(rv, q.wr) // 1×K
+			if keys[g] == nil {
+				keys[g] = tp.MatMul(h, q.wrk)
+			}
+			scores := tp.Scale(tp.MatMulTransB(qr, keys[g]), scale) // 1×L
 			battn := tp.SoftmaxRows(scores, mask)
 			parts = append(parts, tp.MatMul(battn, h)) // 1×Hidden
 		}

@@ -122,7 +122,7 @@ func (e *Encoder) EncodePlan(p *physical.Plan, res sparksim.Resources) *Sample {
 		Nodes:    tensor.New(mn, e.NodeDim()),
 		Mask:     make([]bool, mn),
 		Children: make([][]bool, mn),
-		Resource: res.Normalized(e.cfg.MaxRes),
+		Resource: e.EncodeResource(res),
 	}
 	for i := range s.Children {
 		s.Children[i] = make([]bool, mn)
@@ -173,6 +173,13 @@ func (e *Encoder) EncodePlan(p *physical.Plan, res sparksim.Resources) *Sample {
 
 	s.Stats = e.statsVector(p)
 	return s
+}
+
+// EncodeResource returns res's Eq.-1 normalized resource vector — the
+// only resource-dependent field of an encoded Sample — in a freshly
+// allocated slice.
+func (e *Encoder) EncodeResource(res sparksim.Resources) []float64 {
+	return res.Normalized(e.cfg.MaxRes)
 }
 
 // statsVector builds the global "other features": cardinality statistics

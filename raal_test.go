@@ -18,7 +18,7 @@ var (
 )
 
 // sharedSystem builds one small system + dataset + model for all tests.
-func sharedSystem(t *testing.T) (*System, *Dataset, *CostModel) {
+func sharedSystem(t testing.TB) (*System, *Dataset, *CostModel) {
 	t.Helper()
 	sysOnce.Do(func() {
 		sysInst, sysErr = Open(IMDB, 0.03, 1)
