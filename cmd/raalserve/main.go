@@ -10,7 +10,7 @@
 //	raalserve -deadline 200ms -on-deadline fail       # 504 instead of fallback
 //	raalserve -model model.raal \
 //	          -batch-window 2ms -batch-max 16         # micro-batch concurrent requests
-//	raalserve -model model.raal -precision int8       # quantized inference behind the
+//	raalserve -model model.raal -precision f32        # f32 inference behind the
 //	                                                  # accuracy gate (f64 on refusal)
 //	raalserve -admin :8081 -pprof                     # admin listener + profiling
 //	raalserve -route "http://10.0.0.7:8080,http://10.0.0.8:8080"
@@ -92,8 +92,8 @@ func main() {
 		onDeadline = flag.String("on-deadline", "fallback", "deadline-miss policy: fallback (degrade to GPSJ) or fail (504)")
 		candidates = flag.Int("max-candidates", 3, "candidate plans priced by /select")
 		encCache   = flag.Int("encode-cache", 256, "feature-encoding LRU capacity in plans (0 disables; repeated plans skip re-encoding)")
-		precision  = flag.String("precision", "f64", "serving numeric precision: f64, f32, or int8 (requires -model); reduced precisions quantize the model behind an accuracy gate and serve f64 when the gate refuses")
-		quantGate  = flag.Float64("quant-gate", 0.05, "accuracy-gate bound for reduced precisions: maximum p90 q-error delta between quantized and f64 predictions over a sampled gate workload")
+		precision  = flag.String("precision", "f64", "serving numeric precision: f64 or f32 (requires -model); f32 quantizes the model behind an accuracy gate and serves f64 when the gate refuses")
+		quantGate  = flag.Float64("quant-gate", 0.05, "accuracy-gate bound for -precision f32: maximum p90 q-error delta between quantized and f64 predictions over a sampled gate workload")
 		batchWin   = flag.Duration("batch-window", 0, "micro-batching collection window; concurrent requests within it coalesce into one forward pass (0 disables batching)")
 		batchMax   = flag.Int("batch-max", 0, "micro-batch size cap; a full batch flushes before the window expires (<= 1 disables batching; requires -model)")
 		drainGrace = flag.Duration("drain", 10*time.Second, "graceful-shutdown drain budget")

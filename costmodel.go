@@ -118,18 +118,17 @@ func (cm *CostModel) encodePlanAt(prec string, p *Plan, res Resources) *Sample {
 }
 
 // Precision reports the numeric format the estimation APIs currently
-// serve at: PrecisionF64 until EnablePrecision installs a quantized
-// snapshot, then that snapshot's precision.
+// serve at: PrecisionF64 until EnablePrecision installs the f32 snapshot.
 func (cm *CostModel) Precision() core.Precision {
 	if cm.qmodel != nil {
-		return cm.qmodel.Precision
+		return core.PrecisionF32
 	}
 	return core.PrecisionF64
 }
 
 // EnablePrecision switches the serving precision of every estimation
 // API. PrecisionF64 restores the float64 reference path (always
-// succeeds). A reduced precision quantizes the trained model
+// succeeds). PrecisionF32 quantizes the trained model
 // (core.Model.Quantize) and — when gate samples are supplied — runs the
 // accuracy gate (core.VerifyQuantized) before installing it: the
 // GateQuantile q-error delta between the quantized and float64
@@ -146,10 +145,10 @@ func (cm *CostModel) EnablePrecision(p core.Precision, gate []*Sample, maxQDelta
 		cm.qmodel = nil
 		return nil
 	}
-	qm, err := cm.model.Quantize(core.QuantConfig{Precision: p})
-	if err != nil {
-		return err
+	if p != core.PrecisionF32 {
+		return fmt.Errorf("raal: EnablePrecision: unknown precision %v", p)
 	}
+	qm := cm.model.Quantize()
 	if len(gate) > 0 {
 		if err := core.VerifyQuantized(cm.model, qm, gate, maxQDelta); err != nil {
 			cm.api.gateFails.Inc()
@@ -163,24 +162,10 @@ func (cm *CostModel) EnablePrecision(p core.Precision, gate []*Sample, maxQDelta
 	return nil
 }
 
-// predict/predictWith/predictCtx/predictSpan dispatch one forward pass
-// to the active precision's model. Every estimation API routes through
-// these, so a precision switch covers Estimate, SelectPlan, and
-// RecommendResources uniformly.
-func (cm *CostModel) predict(samples []*Sample) []float64 {
-	if q := cm.qmodel; q != nil {
-		return q.Predict(samples)
-	}
-	return cm.model.Predict(samples)
-}
-
-func (cm *CostModel) predictWith(samples []*Sample, opt core.PredictOpts) []float64 {
-	if q := cm.qmodel; q != nil {
-		return q.PredictWith(samples, opt)
-	}
-	return cm.model.PredictWith(samples, opt)
-}
-
+// predictCtx and predictSpan dispatch one forward pass to the active
+// precision's model. Every estimation API routes through these, so a
+// precision switch covers Estimate, SelectPlan, and RecommendResources
+// uniformly.
 func (cm *CostModel) predictCtx(ctx context.Context, samples []*Sample, opt core.PredictOpts) ([]float64, error) {
 	if q := cm.qmodel; q != nil {
 		return q.PredictCtx(ctx, samples, opt)
@@ -307,16 +292,15 @@ func (cm *CostModel) Variant() Variant { return cm.model.Var }
 
 // Estimate predicts the execution cost (seconds) of plan p under res.
 func (cm *CostModel) Estimate(p *Plan, res Resources) float64 {
-	cm.api.estimates.Inc()
-	s := cm.encodePlan(p, res)
-	return cm.predict([]*Sample{s})[0]
+	cost, _ := cm.EstimateCtx(context.Background(), p, res) // Background never cancels
+	return cost
 }
 
 // EstimateTraced is Estimate with a per-stage wall-time breakdown: the
 // returned span is already ended and decomposes the call into encode →
 // embed → lstm/conv → attention → dense → decode stages (stage durations
 // sum to at most the span total). The span name carries the active
-// serving precision ("estimate[f64]", "estimate[int8]", ...) so traces
+// serving precision ("estimate[f64]" or "estimate[f32]") so traces
 // from different precisions are distinguishable. Tracing is
 // observation-only — the prediction is bit-identical to Estimate.
 func (cm *CostModel) EstimateTraced(p *Plan, res Resources) (float64, *telemetry.Span) {
@@ -351,8 +335,8 @@ func (cm *CostModel) EstimateBatch(plans []*Plan, res Resources) []float64 {
 // EstimateBatchWith is EstimateBatch with explicit data-parallelism
 // settings; predictions are identical for every opt.
 func (cm *CostModel) EstimateBatchWith(plans []*Plan, res Resources, opt core.PredictOpts) []float64 {
-	cm.api.estimates.Inc()
-	return cm.predictWith(cm.planSamples(plans, res), opt)
+	preds, _ := cm.EstimateBatchCtx(context.Background(), plans, res, opt) // Background never cancels
+	return preds
 }
 
 // EstimateBatchCtx is EstimateBatchWith with cooperative cancellation: a
@@ -393,13 +377,8 @@ func (cm *CostModel) planSamples(plans []*Plan, res Resources) []*Sample {
 // SelectPlan returns the candidate with the lowest predicted cost and
 // that prediction. A nil plan is returned only for an empty candidate set.
 func (cm *CostModel) SelectPlan(plans []*Plan, res Resources) (*Plan, float64) {
-	if len(plans) == 0 {
-		return nil, 0
-	}
-	cm.api.selects.Inc()
-	preds := cm.predict(cm.planSamples(plans, res))
-	best := argmin(preds)
-	return plans[best], preds[best]
+	best, cost, _ := cm.SelectPlanCtx(context.Background(), plans, res) // Background never cancels
+	return best, cost
 }
 
 // SelectPlanCtx is SelectPlan with cooperative cancellation. As with

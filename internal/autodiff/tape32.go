@@ -93,14 +93,6 @@ func (t *Tape32) MatMul(a, b *tensor.Matrix32) *tensor.Matrix32 {
 	return out
 }
 
-// MatMulQ returns a×dequant(q), fusing the int8 dequantization into the
-// accumulation (see tensor.MatMulQ32Into).
-func (t *Tape32) MatMulQ(a *tensor.Matrix32, q *tensor.QMatrix8) *tensor.Matrix32 {
-	out := t.get(a.Rows, q.Cols)
-	tensor.MatMulQ32Into(out, a, q)
-	return out
-}
-
 // MatMulTransB returns a×bᵀ without materializing bᵀ.
 func (t *Tape32) MatMulTransB(a, b *tensor.Matrix32) *tensor.Matrix32 {
 	out := t.get(a.Rows, b.Rows)

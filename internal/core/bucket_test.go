@@ -134,8 +134,7 @@ func TestScheduleCutsChunksAtBucketBoundaries(t *testing.T) {
 	for i := range samples {
 		samples[i] = maskedSample(rng)
 	}
-	m := NewModel(RAAL(), testConfig())
-	scored, order, chunks := m.schedule(samples, 8, false)
+	scored, order, chunks := scheduleSamples(samples, 8, false, nil)
 	if len(scored) != len(samples) || len(order) != len(samples) {
 		t.Fatalf("schedule lost samples: %d scored, %d order", len(scored), len(order))
 	}

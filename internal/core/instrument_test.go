@@ -14,7 +14,9 @@ func TestPredictTracedStageBreakdown(t *testing.T) {
 	samples := synthDataset(32, 7)
 	m := NewModel(RAAL(), testConfig())
 
-	preds, sp := m.PredictTraced(samples)
+	sp := telemetry.StartSpan("predict")
+	preds := m.PredictSpan(samples, sp)
+	sp.End()
 	if len(preds) != len(samples) {
 		t.Fatalf("got %d predictions, want %d", len(preds), len(samples))
 	}
@@ -48,7 +50,9 @@ func TestPredictTracedMatchesPredict(t *testing.T) {
 	samples := synthDataset(20, 3)
 	m := NewModel(RAAC(), testConfig()) // conv branch: embed → conv stages
 	want := m.Predict(samples)
-	got, sp := m.PredictTraced(samples)
+	sp := telemetry.StartSpan("predict")
+	got := m.PredictSpan(samples, sp)
+	sp.End()
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("prediction %d: traced %v != plain %v", i, got[i], want[i])

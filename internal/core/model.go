@@ -69,7 +69,7 @@ type Model struct {
 
 	// tapes pools warm inference tapes across Predict calls so the
 	// steady-state scoring path allocates no matrices. Never serialized.
-	tapes tapePool
+	tapes tapePool[*autodiff.Tape]
 }
 
 // maxPooledTapes caps how many warm inference tapes a model retains. More
@@ -77,27 +77,34 @@ type Model struct {
 // drop it afterwards.
 const maxPooledTapes = 16
 
-// tapePool is a mutex-guarded stack of inference tapes. An explicit
-// free list (rather than sync.Pool) keeps warm tapes out of the GC's reach,
-// so the zero-steady-state-allocation guarantee holds deterministically.
-type tapePool struct {
+// inferenceTape is what the tape pool and the chunk scorer need from a
+// precision's tape: the float64 *autodiff.Tape or the f32
+// *autodiff.Tape32.
+type inferenceTape interface{ Reset() }
+
+// tapePool is a mutex-guarded stack of inference tapes. An explicit free list
+// (rather than sync.Pool) keeps warm tapes out of the GC's reach, so the
+// zero-steady-state-allocation guarantee holds deterministically.
+type tapePool[T inferenceTape] struct {
 	mu sync.Mutex
-	ts []*autodiff.Tape
+	ts []T
 }
 
-func (p *tapePool) get() *autodiff.Tape {
+// get leases a warm tape, or builds one with newTape when none is parked.
+func (p *tapePool[T]) get(newTape func() T) T {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if n := len(p.ts); n > 0 {
 		tp := p.ts[n-1]
-		p.ts[n-1] = nil
+		var zero T
+		p.ts[n-1] = zero
 		p.ts = p.ts[:n-1]
 		return tp
 	}
-	return autodiff.NewInferenceTape()
+	return newTape()
 }
 
-func (p *tapePool) put(tp *autodiff.Tape) {
+func (p *tapePool[T]) put(tp T) {
 	tp.Reset() // recycle the last chunk's matrices before parking the tape
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -402,7 +409,7 @@ func (m *Model) PredictWith(samples []*encode.Sample, opt PredictOpts) []float64
 // context adds only a nil check per chunk — predictions are bit-identical
 // to PredictWith for every PredictOpts setting.
 func (m *Model) PredictCtx(ctx context.Context, samples []*encode.Sample, opt PredictOpts) ([]float64, error) {
-	return m.predictCtx(ctx, samples, opt, nil)
+	return scoreChunks(ctx, samples, opt, nil, m.instr, &m.tapes, autodiff.NewInferenceTape, m.predictRows)
 }
 
 // PredictSpan scores samples serially (one worker, so stage wall times
@@ -411,21 +418,14 @@ func (m *Model) PredictCtx(ctx context.Context, samples []*encode.Sample, opt Pr
 // lstm/conv → attention → dense → decode land here. Predictions are
 // bit-identical to Predict. The caller owns sp's lifecycle (End).
 func (m *Model) PredictSpan(samples []*encode.Sample, sp *telemetry.Span) []float64 {
-	out, _ := m.predictCtx(context.Background(), samples, PredictOpts{Workers: 1}, sp)
+	out, _ := scoreChunks(context.Background(), samples, PredictOpts{Workers: 1}, sp, m.instr, &m.tapes, autodiff.NewInferenceTape, m.predictRows)
 	return out
 }
 
-// PredictTraced is PredictSpan with the span created, ended, and
-// returned for inspection — the one-call way to decompose a predict into
-// stage timings:
-//
-//	preds, span := m.PredictTraced(samples)
-//	for _, st := range span.Stages() { ... }
-func (m *Model) PredictTraced(samples []*encode.Sample) ([]float64, *telemetry.Span) {
-	sp := telemetry.StartSpan("predict")
-	out := m.PredictSpan(samples, sp)
-	sp.End()
-	return out, sp
+// predictRows runs one inference chunk and returns its log-scale
+// predictions, one per sample (the head's B×1 output is row-major).
+func (m *Model) predictRows(tp *autodiff.Tape, batch []*encode.Sample, sp *telemetry.Span) []float64 {
+	return m.forward(tp, batch, sp).Value.Data
 }
 
 // activeLen returns the number of leading timesteps the model must unroll
@@ -443,8 +443,8 @@ func activeLen(s *encode.Sample) int {
 // chunkRange is one forward pass's slice of the scheduled sample order.
 type chunkRange struct{ lo, hi int }
 
-// schedule decides which samples share a forward pass. The default is
-// length-bucketed: samples are grouped by active plan length (counting
+// scheduleSamples decides which samples share a forward pass. The default
+// is length-bucketed: samples are grouped by active plan length (counting
 // sort — ascending length, input order within a bucket) and chunks never
 // span two lengths, so forward's unroll depth is exact for every chunk
 // and a 3-node plan never pays a 50-node plan's padded timesteps. The
@@ -453,12 +453,6 @@ type chunkRange struct{ lo, hi int }
 // pooling and attention are mask-invariant, so every sample's arithmetic
 // is untouched and predictions are bit-identical with bucketing on and
 // off (pinned by TestBucketedPredictBitIdentical).
-func (m *Model) schedule(samples []*encode.Sample, chunk int, noBucket bool) ([]*encode.Sample, []int, []chunkRange) {
-	return scheduleSamples(samples, chunk, noBucket, m.instr)
-}
-
-// scheduleSamples is the scheduler shared by the float64 Model and the
-// reduced-precision QModel (which has its own instrumentation handle).
 func scheduleSamples(samples []*encode.Sample, chunk int, noBucket bool, instr *Instrumentation) ([]*encode.Sample, []int, []chunkRange) {
 	n := len(samples)
 	if noBucket || n <= 1 {
@@ -504,10 +498,16 @@ func scheduleSamples(samples []*encode.Sample, chunk int, noBucket bool, instr *
 	return scored, order, chunks
 }
 
-// predictCtx is the shared scorer behind Predict/PredictCtx/PredictSpan.
-// A non-nil span forces the serial path (callers pass Workers: 1), so
-// stage durations sum to at most the call's wall time.
-func (m *Model) predictCtx(ctx context.Context, samples []*encode.Sample, opt PredictOpts, sp *telemetry.Span) ([]float64, error) {
+// scoreChunks is the one chunk scorer behind every precision's
+// Predict/PredictCtx/PredictSpan: it schedules samples into chunks, scores
+// them on a pool of worker goroutines (each leasing one warm tape from
+// tapes, built by newTape when the pool is empty), honours cancellation
+// once per chunk, and decodes the log-scale rows that forward returns back
+// to seconds in caller order. A non-nil span forces the serial path
+// (callers pass Workers: 1), so stage durations sum to at most the call's
+// wall time.
+func scoreChunks[T inferenceTape, E float32 | float64](ctx context.Context, samples []*encode.Sample, opt PredictOpts, sp *telemetry.Span,
+	instr *Instrumentation, tapes *tapePool[T], newTape func() T, forward func(T, []*encode.Sample, *telemetry.Span) []E) ([]float64, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -517,7 +517,7 @@ func (m *Model) predictCtx(ctx context.Context, samples []*encode.Sample, opt Pr
 	if chunk <= 0 {
 		chunk = 64
 	}
-	scored, order, chunks := m.schedule(samples, chunk, opt.NoBucket)
+	scored, order, chunks := scheduleSamples(samples, chunk, opt.NoBucket, instr)
 	nChunks := len(chunks)
 	workers := opt.Workers
 	if workers <= 0 {
@@ -530,31 +530,17 @@ func (m *Model) predictCtx(ctx context.Context, samples []*encode.Sample, opt Pr
 	// Each worker leases one warm tape for its whole run and resets it
 	// between chunks, so all matrices a chunk's graph needs come from the
 	// tape's arena: the steady-state scoring path performs zero matrix
-	// allocations. Predictions are extracted before the next Reset.
-	score := func(tp *autodiff.Tape, k int) {
-		c := chunks[k]
-		tp.Reset()
-		pred := m.forward(tp, scored[c.lo:c.hi], sp)
-		defer sp.Stage("decode")()
-		for i := c.lo; i < c.hi; i++ {
-			dst := i
-			if order != nil {
-				dst = order[i]
-			}
-			out[dst] = invTransform(pred.Value.At(i-c.lo, 0))
-		}
-	}
-
+	// allocations.
 	if workers <= 1 {
-		tp := m.tapes.get()
-		defer m.tapes.put(tp)
+		tp := tapes.get(newTape)
+		defer tapes.put(tp)
 		for k := 0; k < nChunks; k++ {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
-			score(tp, k)
+			scoreChunk(tp, forward, scored, chunks[k], order, out, sp)
 		}
-		m.instr.observePredict(len(samples), time.Since(start))
+		instr.observePredict(len(samples), time.Since(start))
 		return out, nil
 	}
 	var next atomic.Int64
@@ -564,8 +550,8 @@ func (m *Model) predictCtx(ctx context.Context, samples []*encode.Sample, opt Pr
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			tp := m.tapes.get()
-			defer m.tapes.put(tp)
+			tp := tapes.get(newTape)
+			defer tapes.put(tp)
 			for {
 				if ctx.Err() != nil {
 					aborted.Store(true)
@@ -575,7 +561,7 @@ func (m *Model) predictCtx(ctx context.Context, samples []*encode.Sample, opt Pr
 				if k >= nChunks {
 					return
 				}
-				score(tp, k)
+				scoreChunk(tp, forward, scored, chunks[k], order, out, sp)
 			}
 		}()
 	}
@@ -583,8 +569,26 @@ func (m *Model) predictCtx(ctx context.Context, samples []*encode.Sample, opt Pr
 	if aborted.Load() {
 		return nil, ctx.Err()
 	}
-	m.instr.observePredict(len(samples), time.Since(start))
+	instr.observePredict(len(samples), time.Since(start))
 	return out, nil
+}
+
+// scoreChunk runs chunk c's forward pass on tp and decodes its rows to
+// seconds at their caller positions (order nil means identity), reading
+// them before the tape's next Reset. It is a function rather than a
+// closure inside scoreChunks so the serial path allocates no closure.
+func scoreChunk[T inferenceTape, E float32 | float64](tp T, forward func(T, []*encode.Sample, *telemetry.Span) []E,
+	scored []*encode.Sample, c chunkRange, order []int, out []float64, sp *telemetry.Span) {
+	tp.Reset()
+	ys := forward(tp, scored[c.lo:c.hi], sp)
+	defer sp.Stage("decode")()
+	for i := c.lo; i < c.hi; i++ {
+		dst := i
+		if order != nil {
+			dst = order[i]
+		}
+		out[dst] = invTransform(float64(ys[i-c.lo]))
+	}
 }
 
 // transform maps a cost in seconds to the training scale; the models

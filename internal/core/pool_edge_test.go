@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"raal/internal/autodiff"
 	"raal/internal/encode"
 )
 
@@ -108,7 +109,7 @@ func TestTapePoolConcurrentPredictInterleaved(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for iter := 0; iter < 200; iter++ {
-				tp := m.tapes.get()
+				tp := m.tapes.get(autodiff.NewInferenceTape)
 				tp.Reset()
 				m.tapes.put(tp)
 			}

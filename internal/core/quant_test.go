@@ -2,8 +2,10 @@ package core
 
 import (
 	"errors"
+	"math"
 	"testing"
 
+	"raal/internal/encode"
 	"raal/internal/metrics"
 	"raal/internal/tensor"
 )
@@ -19,28 +21,23 @@ func trainSmall(t *testing.T, v Variant, seed int64) *Model {
 }
 
 // TestQuantizedCloseToFloat64 pins the headline accuracy property: for
-// every variant and both reduced precisions, the 0.9-quantile q-error
-// delta against the float64 predictions stays within the serving bound,
-// and VerifyQuantized admits the snapshot.
+// every variant, the f32 snapshot's 0.9-quantile q-error delta against
+// the float64 predictions stays within the serving bound, and
+// VerifyQuantized admits the snapshot.
 func TestQuantizedCloseToFloat64(t *testing.T) {
 	eval := synthDataset(64, 99)
 	variants := map[string]Variant{"raal": RAAL(), "nelstm": NELSTM(), "nalstm": NALSTM(), "raac": RAAC()}
 	for name, v := range variants {
 		m := trainSmall(t, v, 7)
 		ref := m.Predict(eval)
-		for _, p := range []Precision{PrecisionF32, PrecisionInt8} {
-			qm, err := m.Quantize(QuantConfig{Precision: p})
-			if err != nil {
-				t.Fatalf("%s/%s: %v", name, p, err)
-			}
-			got := qm.Predict(eval)
-			delta := metrics.Quantile(metrics.QErrorDeltas(ref, got), GateQuantile)
-			if delta > 0.05 {
-				t.Fatalf("%s/%s: p90 q-error delta %.4f > 0.05", name, p, delta)
-			}
-			if err := VerifyQuantized(m, qm, eval, 0.05); err != nil {
-				t.Fatalf("%s/%s: gate refused a good snapshot: %v", name, p, err)
-			}
+		qm := m.Quantize()
+		got := qm.Predict(eval)
+		delta := metrics.Quantile(metrics.QErrorDeltas(ref, got), GateQuantile)
+		if delta > 0.05 {
+			t.Fatalf("%s: p90 q-error delta %.4f > 0.05", name, delta)
+		}
+		if err := VerifyQuantized(m, qm, eval, 0.05); err != nil {
+			t.Fatalf("%s: gate refused a good snapshot: %v", name, err)
 		}
 	}
 }
@@ -49,11 +46,7 @@ func TestQuantizedCloseToFloat64(t *testing.T) {
 // predictions are bit-identical across worker counts, chunk sizes, and
 // bucketing settings.
 func TestQuantizedPredictDeterministic(t *testing.T) {
-	m := trainSmall(t, RAAL(), 11)
-	qm, err := m.Quantize(QuantConfig{Precision: PrecisionInt8})
-	if err != nil {
-		t.Fatal(err)
-	}
+	qm := trainSmall(t, RAAL(), 11).Quantize()
 	eval := synthDataset(80, 101)
 	want := qm.PredictWith(eval, PredictOpts{Workers: 1, ChunkSize: 7, NoBucket: true})
 	opts := []PredictOpts{
@@ -76,11 +69,7 @@ func TestQuantizedPredictDeterministic(t *testing.T) {
 // on the reduced-precision path: after warmup, repeated serial predicts
 // allocate no f32 matrices.
 func TestQuantizedWarmPredictZeroAllocs(t *testing.T) {
-	m := trainSmall(t, RAAL(), 13)
-	qm, err := m.Quantize(QuantConfig{Precision: PrecisionF32})
-	if err != nil {
-		t.Fatal(err)
-	}
+	qm := trainSmall(t, RAAL(), 13).Quantize()
 	eval := synthDataset(32, 103)
 	opt := PredictOpts{Workers: 1}
 	qm.PredictWith(eval, opt) // warm the tape pool
@@ -95,13 +84,10 @@ func TestQuantizedWarmPredictZeroAllocs(t *testing.T) {
 
 // TestQuantGateRefusal deliberately violates the bound and requires the
 // typed refusal: a corrupted snapshot must come back as *QuantGateError
-// with the precision and quantile filled in.
+// with the quantile filled in.
 func TestQuantGateRefusal(t *testing.T) {
 	m := trainSmall(t, RAAL(), 17)
-	qm, err := m.Quantize(QuantConfig{Precision: PrecisionInt8})
-	if err != nil {
-		t.Fatal(err)
-	}
+	qm := m.Quantize()
 	// Sabotage the output layer bias: every prediction shifts, so the
 	// q-error delta blows through any reasonable bound.
 	out := qm.head.Layers[len(qm.head.Layers)-1]
@@ -109,35 +95,74 @@ func TestQuantGateRefusal(t *testing.T) {
 		out.B.Data[i] += 2
 	}
 	eval := synthDataset(48, 107)
-	err = VerifyQuantized(m, qm, eval, 0.05)
+	err := VerifyQuantized(m, qm, eval, 0.05)
 	var gateErr *QuantGateError
 	if !errors.As(err, &gateErr) {
 		t.Fatalf("gate returned %v, want *QuantGateError", err)
 	}
-	if gateErr.Precision != PrecisionInt8 || gateErr.Quantile != GateQuantile || gateErr.Delta <= gateErr.Bound {
+	if gateErr.Quantile != GateQuantile || gateErr.Delta <= gateErr.Bound {
 		t.Fatalf("gate error fields wrong: %+v", gateErr)
 	}
 }
 
-// TestQuantizeRejectsF64 pins the config contract: f64 is the reference
-// path, not a quantization target.
-func TestQuantizeRejectsF64(t *testing.T) {
-	m := NewModel(RAAL(), testConfig())
-	if _, err := m.Quantize(QuantConfig{Precision: PrecisionF64}); err == nil {
-		t.Fatal("Quantize(f64) succeeded, want error")
+// TestQuantGateRefusesNonFinite pins the gate's non-finite guard: a
+// NaN or ±Inf prediction is refused even when every finite row agrees,
+// because its NaN q-error delta would otherwise sort below the
+// GateQuantile and compare false against the bound.
+func TestQuantGateRefusesNonFinite(t *testing.T) {
+	m := trainSmall(t, RAAL(), 19)
+	cases := []struct {
+		name      string
+		sabotage  func(qm *QModel, eval []*encode.Sample)
+		nonFinite int
+	}{
+		// Every f32 prediction is NaN.
+		{"nan-bias", func(qm *QModel, _ []*encode.Sample) {
+			out := qm.head.Layers[len(qm.head.Layers)-1]
+			for i := range out.B.Data {
+				out.B.Data[i] = float32(math.NaN())
+			}
+		}, 48},
+		// One sample's stats scaled far past the training range: its
+		// log-cost overflows expm1 to +Inf in both precisions, while the
+		// other 47 rows stay close to the f64 reference.
+		{"one-row", func(_ *QModel, eval []*encode.Sample) {
+			s := *eval[24]
+			s.Stats = append([]float64(nil), s.Stats...)
+			for i := range s.Stats {
+				s.Stats[i] *= 1e6
+			}
+			eval[24] = &s
+		}, 2},
+	}
+	for _, c := range cases {
+		qm := m.Quantize()
+		eval := synthDataset(48, 109)
+		c.sabotage(qm, eval)
+		err := VerifyQuantized(m, qm, eval, 0.05)
+		var gateErr *QuantGateError
+		if !errors.As(err, &gateErr) {
+			t.Fatalf("%s: gate returned %v, want *QuantGateError", c.name, err)
+		}
+		if gateErr.NonFinite != c.nonFinite || gateErr.Delta <= gateErr.Bound {
+			t.Fatalf("%s: gate error fields wrong (want %d non-finite): %+v", c.name, c.nonFinite, gateErr)
+		}
 	}
 }
 
-// TestParsePrecision round-trips the CLI spellings.
+// TestParsePrecision round-trips the CLI spellings and rejects the
+// removed int8 precision.
 func TestParsePrecision(t *testing.T) {
-	for _, p := range []Precision{PrecisionF64, PrecisionF32, PrecisionInt8} {
+	for _, p := range []Precision{PrecisionF64, PrecisionF32} {
 		got, err := ParsePrecision(p.String())
 		if err != nil || got != p {
 			t.Fatalf("ParsePrecision(%q) = %v, %v", p.String(), got, err)
 		}
 	}
-	if _, err := ParsePrecision("f16"); err == nil {
-		t.Fatal("ParsePrecision(f16) succeeded, want error")
+	for _, s := range []string{"f16", "int8"} {
+		if _, err := ParsePrecision(s); err == nil {
+			t.Fatalf("ParsePrecision(%s) succeeded, want error", s)
+		}
 	}
 }
 
@@ -160,18 +185,13 @@ func BenchmarkPredictQuant(b *testing.B) {
 			m.PredictWith(samples, opt)
 		}
 	})
-	for _, p := range []Precision{PrecisionF32, PrecisionInt8} {
-		qm, err := m.Quantize(QuantConfig{Precision: p})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run(p.String(), func(b *testing.B) {
+	qm := m.Quantize()
+	b.Run("f32", func(b *testing.B) {
+		qm.PredictWith(samples, opt)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
 			qm.PredictWith(samples, opt)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				qm.PredictWith(samples, opt)
-			}
-		})
-	}
+		}
+	})
 }

@@ -121,14 +121,7 @@ func TestPlanSharingBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		predictors := map[string]func([]*encode.Sample, PredictOpts) []float64{"f64": m.PredictWith}
-		for _, p := range []Precision{PrecisionF32, PrecisionInt8} {
-			qm, err := m.Quantize(QuantConfig{Precision: p})
-			if err != nil {
-				t.Fatal(err)
-			}
-			predictors[p.String()] = qm.PredictWith
-		}
+		predictors := map[string]func([]*encode.Sample, PredictOpts) []float64{"f64": m.PredictWith, "f32": m.Quantize().PredictWith}
 		for pname, predict := range predictors {
 			for _, c := range cases {
 				// The reference scores every independent sample in its own

@@ -5,42 +5,12 @@ import (
 	"raal/internal/tensor"
 )
 
-// This file holds the inference-only reduced-precision snapshots of the
-// trainable layers. Each is built post-training from its float64
-// counterpart: weights narrow to float32, and — when int8 is requested —
-// the large input-projection/dense matrices (the LSTM's Wx "embedding"
-// of plan rows, the conv lowering matrix, every Dense W) drop to
-// symmetric per-row int8 with the dequantization fused into the matmul.
-// Biases and recurrent weights always stay f32: they are small, and the
-// recurrence amplifies their error across timesteps.
-//
-// The snapshots run on autodiff.Tape32 and have no parameters, no
-// gradients, and no serialization — quantization is re-derived from the
-// float64 model whenever one is loaded or promoted.
-
-// qweight is one weight matrix in either reduced precision: exactly one
-// of W (f32) or Q (int8) is set.
-type qweight struct {
-	W *tensor.Matrix32
-	Q *tensor.QMatrix8
-}
-
-// newQWeight converts a float64 weight matrix, to int8 when asked.
-func newQWeight(m *tensor.Matrix, int8W bool) qweight {
-	if int8W {
-		return qweight{Q: tensor.Quantize8(m)}
-	}
-	return qweight{W: tensor.ToMatrix32(m)}
-}
-
-// matmul multiplies x by the weight through whichever kernel the
-// precision selected.
-func (w qweight) matmul(tp *autodiff.Tape32, x *tensor.Matrix32) *tensor.Matrix32 {
-	if w.Q != nil {
-		return tp.MatMulQ(x, w.Q)
-	}
-	return tp.MatMul(x, w.W)
-}
+// This file holds the inference-only float32 snapshots of the trainable
+// layers. Each is built post-training from its float64 counterpart by
+// narrowing every weight to float32. The snapshots run on
+// autodiff.Tape32 and have no parameters, no gradients, and no
+// serialization — they are re-derived from the float64 model whenever one
+// is loaded or promoted.
 
 // actToTensor maps the layer Activation enum onto the tensor fused-kernel
 // enum. LeakyReLU has no fused form (it carries a slope) and is handled
@@ -78,18 +48,17 @@ func biasAct32(tp *autodiff.Tape32, z, b *tensor.Matrix32, act Activation) *tens
 // LSTM32 is an inference-only reduced-precision LSTM snapshot.
 type LSTM32 struct {
 	In, Hidden int
-	Wx         qweight          // in×4h input projection (int8-eligible)
-	Wh         *tensor.Matrix32 // h×4h recurrent weights (always f32)
-	B          *tensor.Matrix32 // 1×4h packed gate bias (always f32)
+	Wx         *tensor.Matrix32 // in×4h input projection
+	Wh         *tensor.Matrix32 // h×4h recurrent weights
+	B          *tensor.Matrix32 // 1×4h packed gate bias
 }
 
-// NewLSTM32 snapshots a trained LSTM. int8Wx selects the int8 path for
-// the input projection.
-func NewLSTM32(l *LSTM, int8Wx bool) *LSTM32 {
+// NewLSTM32 snapshots a trained LSTM.
+func NewLSTM32(l *LSTM) *LSTM32 {
 	return &LSTM32{
 		In:     l.In,
 		Hidden: l.Hidden,
-		Wx:     newQWeight(l.Wx.Value(), int8Wx),
+		Wx:     tensor.ToMatrix32(l.Wx.Value()),
 		Wh:     tensor.ToMatrix32(l.Wh.Value()),
 		B:      tensor.ToMatrix32(l.B.Value()),
 	}
@@ -105,7 +74,7 @@ func (l *LSTM32) ForwardStacked(tp *autodiff.Tape32, x *tensor.Matrix32, steps i
 	}
 	h := l.Hidden
 	batch := x.Rows / steps
-	zx := l.Wx.matmul(tp, x)
+	zx := tp.MatMul(x, l.Wx)
 	sh := tp.NewMatrix(batch, h)
 	sc := tp.NewMatrix(batch, h)
 	hs := make([]*tensor.Matrix32, steps)
@@ -119,19 +88,19 @@ func (l *LSTM32) ForwardStacked(tp *autodiff.Tape32, x *tensor.Matrix32, steps i
 
 // Dense32 is an inference-only reduced-precision Dense snapshot.
 type Dense32 struct {
-	W   qweight
+	W   *tensor.Matrix32
 	B   *tensor.Matrix32
 	Act Activation
 }
 
 // NewDense32 snapshots a trained Dense layer.
-func NewDense32(d *Dense, int8W bool) *Dense32 {
-	return &Dense32{W: newQWeight(d.W.Value(), int8W), B: tensor.ToMatrix32(d.B.Value()), Act: d.Act}
+func NewDense32(d *Dense) *Dense32 {
+	return &Dense32{W: tensor.ToMatrix32(d.W.Value()), B: tensor.ToMatrix32(d.B.Value()), Act: d.Act}
 }
 
 // Forward applies the layer to a batch×in input.
 func (d *Dense32) Forward(tp *autodiff.Tape32, x *tensor.Matrix32) *tensor.Matrix32 {
-	return biasAct32(tp, d.W.matmul(tp, x), d.B, d.Act)
+	return biasAct32(tp, tp.MatMul(x, d.W), d.B, d.Act)
 }
 
 // MLP32 is an inference-only reduced-precision MLP snapshot.
@@ -139,11 +108,11 @@ type MLP32 struct {
 	Layers []*Dense32
 }
 
-// NewMLP32 snapshots a trained MLP; int8W applies to every layer.
-func NewMLP32(m *MLP, int8W bool) *MLP32 {
+// NewMLP32 snapshots a trained MLP.
+func NewMLP32(m *MLP) *MLP32 {
 	r := &MLP32{Layers: make([]*Dense32, len(m.Layers))}
 	for i, l := range m.Layers {
-		r.Layers[i] = NewDense32(l, int8W)
+		r.Layers[i] = NewDense32(l)
 	}
 	return r
 }
@@ -159,18 +128,18 @@ func (m *MLP32) Forward(tp *autodiff.Tape32, x *tensor.Matrix32) *tensor.Matrix3
 // Conv32 is an inference-only reduced-precision Conv1D snapshot.
 type Conv32 struct {
 	In, Filters, Width int
-	W                  qweight
+	W                  *tensor.Matrix32
 	B                  *tensor.Matrix32
 	Act                Activation
 }
 
 // NewConv32 snapshots a trained Conv1D.
-func NewConv32(c *Conv1D, int8W bool) *Conv32 {
+func NewConv32(c *Conv1D) *Conv32 {
 	return &Conv32{
 		In:      c.In,
 		Filters: c.Filters,
 		Width:   c.Width,
-		W:       newQWeight(c.W.Value(), int8W),
+		W:       tensor.ToMatrix32(c.W.Value()),
 		B:       tensor.ToMatrix32(c.B.Value()),
 		Act:     c.Act,
 	}
@@ -180,5 +149,5 @@ func NewConv32(c *Conv1D, int8W bool) *Conv32 {
 // bias+activation.
 func (c *Conv32) Forward(tp *autodiff.Tape32, x *tensor.Matrix32) *tensor.Matrix32 {
 	cols := tp.Im2ColRows(x, c.Width)
-	return biasAct32(tp, c.W.matmul(tp, cols), c.B, c.Act)
+	return biasAct32(tp, tp.MatMul(cols, c.W), c.B, c.Act)
 }

@@ -24,11 +24,11 @@ type Version struct {
 	// State is the resumable training state the generation was left
 	// with — the warm-start point for the next challenger.
 	State *core.TrainState
-	// Q is the generation's reduced-precision serving snapshot, present
-	// only when the loop runs with a reduced Config.Precision and the
-	// accuracy gate admitted the quantization at promotion time. Nil
-	// means this generation serves float64. Never persisted — champions
-	// are re-quantized from their float64 weights on every promotion.
+	// Q is the generation's f32 serving snapshot, present only when the
+	// loop runs with Config.Precision f32 and the accuracy gate admitted
+	// the quantization at promotion time. Nil means this generation
+	// serves float64. Never persisted — champions are re-quantized from
+	// their float64 weights on every promotion.
 	Q *core.QModel
 }
 
@@ -68,13 +68,13 @@ type Config struct {
 	Train core.TrainConfig
 
 	// Precision selects the serving numeric format (default f64, the
-	// reference path). With a reduced precision every generation still
-	// trains, shadow-scores, and persists in float64; the champion is
-	// re-quantized from its float64 weights at promotion time, behind
-	// the accuracy gate (core.VerifyQuantized) scored on the replay
-	// snapshot — or on GateSamples while the buffer is empty, e.g. at
-	// bootstrap. A refused gate increments raal_quant_gate_failures_total
-	// and the generation serves float64 instead.
+	// reference path). With f32 every generation still trains,
+	// shadow-scores, and persists in float64; the champion is
+	// re-quantized from its float64 weights at promotion time, behind the
+	// accuracy gate (core.VerifyQuantized) scored on the replay snapshot —
+	// or on GateSamples while the buffer is empty, e.g. at bootstrap. A
+	// refused gate increments raal_quant_gate_failures_total and the
+	// generation serves float64 instead.
 	Precision core.Precision
 	// GateSamples is the bootstrap reference set for the quantization
 	// accuracy gate, used until the replay buffer has content.
@@ -340,28 +340,25 @@ func (m *Manager) settleShadow() {
 	m.drift.Reset()
 }
 
-// requantizeLocked (re)derives v's reduced-precision serving snapshot
-// from its float64 weights — the quantization half of a promotion.
-// Under PrecisionF64 it is a no-op. The gate scores the snapshot on the
+// requantizeLocked (re)derives v's f32 serving snapshot from its float64
+// weights — the quantization half of a promotion. Unless the loop serves
+// PrecisionF32 it is a no-op. The gate scores the snapshot on the
 // replay buffer (live traffic's distribution) when it has content,
 // falling back to Config.GateSamples at bootstrap; a refused gate — or
 // an empty gate set — leaves v.Q nil, so the generation serves float64,
 // and records the refusal in lastErr and the gate-failure counter.
 // Called with mu held (or during NewManager, before the loop is shared).
 func (m *Manager) requantizeLocked(v *Version) {
-	if m.cfg.Precision == core.PrecisionF64 {
+	if m.cfg.Precision != core.PrecisionF32 {
 		return
 	}
 	v.Q = nil
-	qm, err := v.Model.Quantize(core.QuantConfig{Precision: m.cfg.Precision})
-	if err == nil {
-		gate := m.buf.Snapshot()
-		if len(gate) == 0 {
-			gate = m.cfg.GateSamples
-		}
-		err = core.VerifyQuantized(v.Model, qm, gate, m.cfg.MaxQDelta)
+	qm := v.Model.Quantize()
+	gate := m.buf.Snapshot()
+	if len(gate) == 0 {
+		gate = m.cfg.GateSamples
 	}
-	if err != nil {
+	if err := core.VerifyQuantized(v.Model, qm, gate, m.cfg.MaxQDelta); err != nil {
 		m.lastErr = fmt.Sprintf("quantize v%d: %v", v.Num, err)
 		m.cfg.Metrics.QuantGateFailures.Inc()
 		if m.cfg.Logger != nil {
@@ -493,7 +490,7 @@ func (m *Manager) Status() Status {
 	champ := m.champion.Load()
 	prec := core.PrecisionF64
 	if champ.Q != nil {
-		prec = champ.Q.Precision
+		prec = core.PrecisionF32
 	}
 	st := Status{
 		Champion:      champ.Num,

@@ -2,15 +2,13 @@ package tensor
 
 import (
 	"fmt"
-	"math"
 	"sync/atomic"
 )
 
 // This file is the reduced-precision mirror of matrix.go + kernels.go:
 // dense float32 matrices, the blocked/parallel matmul kernels, the fused
-// bias+activation pass, and a symmetric per-row int8 weight format with a
-// dequantize-to-f32-accumulate matmul. The inference-only quantized model
-// (core.QModel) runs entirely on these kernels.
+// bias+activation pass, and the fused LSTM cell. The inference-only f32
+// model (core.QModel) runs entirely on these kernels.
 //
 // Determinism contract: identical to the float64 kernels, *within* f32 —
 // every output element is accumulated in ascending k with zero operands
@@ -457,117 +455,6 @@ func LSTMCell32Into(sh, sc, z, b *Matrix32) {
 			c := f*scr[j] + i*g
 			scr[j] = c
 			shr[j] = o * Tanh32(c)
-		}
-	}
-}
-
-// QMatrix8 is a weight matrix quantized to int8 with a symmetric per-row
-// scale: element (i,j) dequantizes to float32(Data[i*Cols+j]) * Scale[i].
-// Rows of a weight matrix are quantized independently because their
-// dynamic ranges differ (per-row maxabs/127), which is what keeps the
-// scheme accurate enough for the gate without zero points.
-type QMatrix8 struct {
-	Rows, Cols int
-	Data       []int8
-	Scale      []float32 // len Rows
-}
-
-// Quantize8 converts a float64 weight matrix to symmetric per-row int8.
-// scale_i = maxabs(row_i)/127; values round to nearest, ties away from
-// zero. An all-zero row gets scale 0 and contributes exactly 0.
-func Quantize8(m *Matrix) *QMatrix8 {
-	q := &QMatrix8{
-		Rows:  m.Rows,
-		Cols:  m.Cols,
-		Data:  make([]int8, m.Rows*m.Cols),
-		Scale: make([]float32, m.Rows),
-	}
-	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		var maxAbs float64
-		for _, v := range row {
-			if a := math.Abs(v); a > maxAbs {
-				maxAbs = a
-			}
-		}
-		if maxAbs == 0 {
-			continue
-		}
-		scale := maxAbs / 127
-		q.Scale[i] = float32(scale)
-		qrow := q.Data[i*m.Cols : (i+1)*m.Cols]
-		for j, v := range row {
-			qrow[j] = int8(math.Round(v / scale))
-		}
-	}
-	return q
-}
-
-// Dequantize expands q back to float32 (for tests and debugging; the hot
-// path never materializes this).
-func (q *QMatrix8) Dequantize() *Matrix32 {
-	out := New32(q.Rows, q.Cols)
-	for i := 0; i < q.Rows; i++ {
-		s := q.Scale[i]
-		qrow := q.Data[i*q.Cols : (i+1)*q.Cols]
-		orow := out.Data[i*q.Cols : (i+1)*q.Cols]
-		for j, v := range qrow {
-			orow[j] = float32(v) * s
-		}
-	}
-	return out
-}
-
-// MatMulQ32Into computes out = a × dequant(b) with the dequantization
-// fused into the accumulation: for each k the scalar a[i][k]*Scale[k] is
-// formed once in f32 and streamed against b's int8 row. Accumulation is
-// ascending-k with zero scalars skipped — the same per-element order for
-// every worker count, so the bit-identical contract holds. out must be
-// a.Rows×b.Cols and must not alias a.
-func MatMulQ32Into(out, a *Matrix32, b *QMatrix8) {
-	if a.Cols != b.Rows {
-		panic(fmt.Sprintf("tensor: matmulQ32 shape mismatch %dx%d · %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
-	}
-	if out.Rows != a.Rows || out.Cols != b.Cols {
-		panic(fmt.Sprintf("tensor: matmulQ32 out shape %dx%d, want %dx%d", out.Rows, out.Cols, a.Rows, b.Cols))
-	}
-	if sameData32(out, a) {
-		panic("tensor: matmulQ32 out must not alias an input")
-	}
-	flops := int64(a.Rows) * int64(a.Cols) * int64(b.Cols)
-	if w := spanWorkers(a.Rows, flops); w > 1 {
-		parallelRanges(a.Rows, w, func(lo, hi int) {
-			matMulQRows32(rowView32(out, lo, hi), rowView32(a, lo, hi), b)
-		})
-		return
-	}
-	matMulQRows32(out, a, b)
-}
-
-func matMulQRows32(out, a *Matrix32, b *QMatrix8) {
-	n := b.Cols
-	out.Zero()
-	for i := 0; i < a.Rows; i++ {
-		arow := a.Data[i*a.Cols : (i+1)*a.Cols]
-		orow := out.Data[i*n : (i+1)*n]
-		for k, av := range arow {
-			s := av * b.Scale[k]
-			if s == 0 {
-				continue
-			}
-			brow := b.Data[k*n : (k+1)*n]
-			j := 0
-			for ; j+4 <= n; j += 4 {
-				b4 := brow[j : j+4 : j+4]
-				o4 := orow[j : j+4 : j+4]
-				o4[0] += s * float32(b4[0])
-				o4[1] += s * float32(b4[1])
-				o4[2] += s * float32(b4[2])
-				o4[3] += s * float32(b4[3])
-			}
-			for ; j < n; j++ {
-				orow[j] += s * float32(brow[j])
-			}
 		}
 	}
 }

@@ -79,15 +79,12 @@ func TestParallelMatMul32BitIdenticalAcrossWorkers(t *testing.T) {
 				bt.Set(j, i, b.At(i, j))
 			}
 		}
-		q := Quantize8(b.ToMatrix())
 
 		SetMatMulWorkers(1)
 		want := New32(m, n)
 		MatMul32Into(want, a, b)
 		wantTB := New32(m, n)
 		MatMulTransB32Into(wantTB, a, bt)
-		wantQ := New32(m, n)
-		MatMulQ32Into(wantQ, a, q)
 
 		for _, w := range workers {
 			SetMatMulWorkers(w)
@@ -98,61 +95,6 @@ func TestParallelMatMul32BitIdenticalAcrossWorkers(t *testing.T) {
 			gotTB := randMat32(rng, m, n)
 			MatMulTransB32Into(gotTB, a, bt)
 			mustEqual32(t, gotTB, wantTB, "MatMulTransB32Into parallel")
-
-			gotQ := randMat32(rng, m, n)
-			MatMulQ32Into(gotQ, a, q)
-			mustEqual32(t, gotQ, wantQ, "MatMulQ32Into parallel")
-		}
-	}
-}
-
-// TestQuantize8RoundTrip bounds the dequantization error at half a step
-// per element and checks the all-zero-row edge case.
-func TestQuantize8RoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	m := randMat(rng, 12, 30)
-	for j := 0; j < m.Cols; j++ {
-		m.Set(5, j, 0) // all-zero row: scale must be 0, dequant exactly 0
-	}
-	q := Quantize8(m)
-	dq := q.Dequantize()
-	for i := 0; i < m.Rows; i++ {
-		var maxAbs float64
-		for _, v := range m.Row(i) {
-			if a := math.Abs(v); a > maxAbs {
-				maxAbs = a
-			}
-		}
-		step := maxAbs / 127
-		for j := 0; j < m.Cols; j++ {
-			err := math.Abs(float64(dq.At(i, j)) - m.At(i, j))
-			if err > step/2+1e-7 {
-				t.Fatalf("(%d,%d): dequant err %g > half step %g", i, j, err, step/2)
-			}
-		}
-	}
-	if q.Scale[5] != 0 {
-		t.Fatalf("all-zero row scale = %g, want 0", q.Scale[5])
-	}
-}
-
-// TestMatMulQ32MatchesDequantized checks the fused dequant-accumulate
-// kernel against multiplying by the materialized dequantized matrix. The
-// two differ only in where the scale multiplies, so they agree within
-// f32 rounding.
-func TestMatMulQ32MatchesDequantized(t *testing.T) {
-	rng := rand.New(rand.NewSource(43))
-	a32 := randMat32(rng, 8, 24)
-	w := randMat(rng, 24, 16)
-	q := Quantize8(w)
-
-	got := New32(8, 16)
-	MatMulQ32Into(got, a32, q)
-	ref := New32(8, 16)
-	MatMul32Into(ref, a32, q.Dequantize())
-	for i, v := range got.Data {
-		if math.Abs(float64(v-ref.Data[i])) > 1e-3 {
-			t.Fatalf("element %d: fused %g vs dequant-then-matmul %g", i, v, ref.Data[i])
 		}
 	}
 }

@@ -115,7 +115,7 @@ func TestEnablePrecisionGateFallback(t *testing.T) {
 	if err := cm.EnablePrecision(PrecisionF64, nil, 0); err != nil {
 		t.Fatal(err)
 	}
-	err := cm.EnablePrecision(PrecisionInt8, gate, 0) // bound 0: int8 can never match f64 exactly
+	err := cm.EnablePrecision(PrecisionF32, gate, 0) // bound 0: f32 can never match f64 exactly
 	var gateErr *QuantGateError
 	if !errors.As(err, &gateErr) {
 		t.Fatalf("EnablePrecision returned %v, want *QuantGateError", err)

@@ -83,16 +83,14 @@ type (
 	QuantGateError = core.QuantGateError
 )
 
-// Serving precisions: the float64 reference path and the two reduced
-// inference-only formats (see CostModel.EnablePrecision).
+// Serving precisions: the float64 reference path and the inference-only
+// float32 format (see CostModel.EnablePrecision).
 const (
-	PrecisionF64  = core.PrecisionF64
-	PrecisionF32  = core.PrecisionF32
-	PrecisionInt8 = core.PrecisionInt8
+	PrecisionF64 = core.PrecisionF64
+	PrecisionF32 = core.PrecisionF32
 )
 
-// ParsePrecision maps the CLI spelling ("f64", "f32", "int8") to a
-// Precision.
+// ParsePrecision maps the CLI spelling ("f64", "f32") to a Precision.
 func ParsePrecision(s string) (Precision, error) { return core.ParsePrecision(s) }
 
 // NewMetricsRegistry returns an empty metrics registry. Wire it into
