@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race bench bench-parallel benchjson bench-serve bench-fleet bench-online chaos online quant bench-quant engine bench-engine vet fuzz cover check
+.PHONY: build test race perfbench-check bench bench-parallel benchjson bench-serve bench-fleet bench-online chaos online quant bench-quant engine bench-engine vet fuzz cover check
 
 build:
 	$(GO) build ./...
@@ -29,9 +29,12 @@ test: build
 # property tests; internal/engine includes TestConcurrentStreamingRuns
 # (one Engine, shared slab pools and counters, hammered from 8
 # goroutines) and internal/workload the worker-count-invariant parallel
-# collection tests. Use `make race-all` for the (slow) full sweep.
+# collection tests; internal/lru and internal/serve's plan-cache tests
+# share cached entries across goroutines, and the root package's
+# TestPlanConcurrencySafe plans the generated corpora from 8 goroutines
+# against one System. Use `make race-all` for the (slow) full sweep.
 race:
-	$(GO) test -race ./internal/core ./internal/nn ./internal/autodiff ./internal/tensor ./internal/serve ./internal/telemetry ./internal/fleet ./internal/backoff ./internal/online ./internal/engine ./internal/workload .
+	$(GO) test -race ./internal/core ./internal/nn ./internal/autodiff ./internal/tensor ./internal/serve ./internal/telemetry ./internal/fleet ./internal/backoff ./internal/online ./internal/engine ./internal/workload ./internal/lru .
 
 # The experiments package replays full training runs; under the race
 # detector that exceeds go test's default 10m per-package timeout on
@@ -149,6 +152,13 @@ FUZZTIME ?= 15s
 fuzz:
 	$(GO) test ./internal/sql -run=XXX -fuzz=FuzzParse -fuzztime=$(FUZZTIME)
 
-# The pre-merge gate: static checks, the full test suite, and a fuzz
-# smoke of the parser.
-check: vet test fuzz
+# perfbench is its own Go module (replace raal => ../), so `go test ./...`
+# at the root never compiles it. Vet and test it on its own, so a serving
+# change that breaks its build or drifts a raalserve default it mirrors
+# (TestMirrorsRaalserveDefaults) fails the gate.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
+# The pre-merge gate: static checks, the full test suite, the benchmark
+# module's build and tests, and a fuzz smoke of the parser.
+check: vet test perfbench-check fuzz

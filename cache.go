@@ -1,37 +1,33 @@
 package raal
 
 import (
-	"container/list"
 	"fmt"
 	"hash/fnv"
 	"strconv"
 	"strings"
-	"sync"
+	"sync/atomic"
 
 	"raal/internal/encode"
+	"raal/internal/lru"
 )
 
-// encodeCache is a mutex-guarded LRU from plan fingerprints to encoded
-// samples. Plan encoding walks the whole operator tree (word2vec lookups,
-// statistics aggregation) on every Estimate call, yet serving workloads
-// re-submit the same few plans under the same allocations over and over;
-// caching the encoder's output removes that repeated walk entirely. The
-// encoder is deterministic — identical (plan, resources) inputs yield
-// identical samples — so serving a cached *Sample is bit-identical to
-// re-encoding, and the model never mutates the samples it scores.
+// encodeCache is an LRU from plan fingerprints to encoded samples. Plan
+// encoding walks the whole operator tree (word2vec lookups, statistics
+// aggregation) on every Estimate call, yet serving workloads re-submit
+// the same few plans under the same allocations over and over; caching
+// the encoder's output removes that repeated walk entirely. The encoder
+// is deterministic — identical (plan, resources) inputs yield identical
+// samples — so serving a cached *Sample is bit-identical to re-encoding,
+// and the model never mutates the samples it scores.
 type encodeCache struct {
-	mu  sync.Mutex
-	cap int
-	ll  *list.List // front = most recently used
-	m   map[string]*list.Element
+	lru *lru.Cache[string, *cacheEntry] // keyed by cacheKey
 }
 
 type cacheEntry struct {
-	key       string // full map key: precision tag + plan key
 	planKey   string
 	precision string
-	sample    *encode.Sample
-	hits      uint64 // lookups served from this entry since it was cached
+	sample    atomic.Pointer[encode.Sample]
+	hits      atomic.Uint64 // lookups served from this entry since it was cached
 }
 
 // cacheKey joins the serving precision tag and the canonical plan key
@@ -47,60 +43,42 @@ func cacheKey(precision, planKey string) string {
 }
 
 func newEncodeCache(capacity int) *encodeCache {
-	return &encodeCache{
-		cap: capacity,
-		ll:  list.New(),
-		m:   make(map[string]*list.Element, capacity),
-	}
+	return &encodeCache{lru: lru.New[string, *cacheEntry](capacity)}
 }
 
 func (c *encodeCache) get(precision, planKey string) (*encode.Sample, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.m[cacheKey(precision, planKey)]
+	e, ok := c.lru.Get(cacheKey(precision, planKey))
 	if !ok {
 		return nil, false
 	}
-	c.ll.MoveToFront(el)
-	e := el.Value.(*cacheEntry)
-	e.hits++
-	return e.sample, true
+	e.hits.Add(1)
+	return e.sample.Load(), true
 }
 
 // keyStats snapshots per-entry hit counts in most-recently-used order.
 func (c *encodeCache) keyStats() []CacheKeyStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]CacheKeyStats, 0, c.ll.Len())
-	for el := c.ll.Front(); el != nil; el = el.Next() {
-		e := el.Value.(*cacheEntry)
-		out = append(out, CacheKeyStats{Key: FingerprintID(e.planKey), Precision: e.precision, Hits: e.hits})
+	entries := c.lru.Values()
+	out := make([]CacheKeyStats, len(entries))
+	for i, e := range entries {
+		out[i] = CacheKeyStats{Key: FingerprintID(e.planKey), Precision: e.precision, Hits: e.hits.Load()}
 	}
 	return out
 }
 
+// add caches s under (precision, planKey). Re-adding a cached key swaps
+// the entry's sample in place and keeps its hit count.
 func (c *encodeCache) add(precision, planKey string, s *encode.Sample) {
 	key := cacheKey(precision, planKey)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.m[key]; ok {
-		c.ll.MoveToFront(el)
-		el.Value.(*cacheEntry).sample = s
+	if e, ok := c.lru.Get(key); ok {
+		e.sample.Store(s)
 		return
 	}
-	c.m[key] = c.ll.PushFront(&cacheEntry{key: key, planKey: planKey, precision: precision, sample: s})
-	for c.ll.Len() > c.cap {
-		back := c.ll.Back()
-		c.ll.Remove(back)
-		delete(c.m, back.Value.(*cacheEntry).key)
-	}
+	e := &cacheEntry{planKey: planKey, precision: precision}
+	e.sample.Store(s)
+	c.lru.Add(key, e)
 }
 
-func (c *encodeCache) len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ll.Len()
-}
+func (c *encodeCache) len() int { return c.lru.Len() }
 
 // CacheKeyStats is one encode-cache entry's hit attribution: how many
 // lookups the entry has served since it was cached, keyed by the short

@@ -64,7 +64,6 @@ import (
 	"os"
 	"os/signal"
 	"strings"
-	"sync"
 	"syscall"
 	"time"
 
@@ -350,16 +349,10 @@ func main() {
 		fatal("building server", "error", err)
 	}
 
-	// The planning substrate (parser → binder → planner → cardinality
-	// estimator) is not concurrency-hardened, so serialize it; admission
-	// control already bounds the expensive estimation stage.
-	var planMu sync.Mutex
+	// System.Plan is safe for concurrent use (TestPlanConcurrencySafe),
+	// and the handler caches repeated SQL's plans.
 	handler, err := serve.NewHandler(srv, serve.HTTPConfig{
-		Planner: func(sql string) ([]*physical.Plan, error) {
-			planMu.Lock()
-			defer planMu.Unlock()
-			return sys.Plan(sql)
-		},
+		Planner:       sys.Plan,
 		MaxCandidates: *candidates,
 		Metrics:       met,
 		Logger:        logger,
@@ -433,9 +426,9 @@ type routerOpts struct {
 }
 
 // runRouter is the -route mode: the same binary as the fleet front
-// router. It plans locally (to compute the affinity fingerprint and to
-// price the degrade path) but delegates all deep estimation to the
-// replicas.
+// router. It plans locally only to compute a new request's affinity
+// fingerprint and to price the degrade path, and delegates all deep
+// estimation to the replicas.
 func runRouter(logger *slog.Logger, fatal func(string, ...any), opts routerOpts) {
 	replicas, err := parseReplicas(opts.spec)
 	if err != nil {
@@ -454,14 +447,9 @@ func runRouter(logger *slog.Logger, fatal func(string, ...any), opts routerOpts)
 	}
 	met := fleet.NewMetrics(reg, ids)
 
-	var planMu sync.Mutex
 	router, err := fleet.New(fleet.Config{
 		Replicas: replicas,
-		Planner: func(sql string) ([]*physical.Plan, error) {
-			planMu.Lock()
-			defer planMu.Unlock()
-			return sys.Plan(sql)
-		},
+		Planner:  sys.Plan,
 		// The encode cache's exact key: router affinity and replica
 		// cache locality agree byte-for-byte.
 		Fingerprint: raal.PlanFingerprint,

@@ -53,15 +53,15 @@ func newRing(ids []string, vnodes int) *ring {
 }
 
 // Order returns every member exactly once, in ring order starting at
-// key's successor point — the preference list for affinity routing:
-// element 0 owns the key, element 1 is the first failover (and hedge)
-// target, and so on. Deterministic for a given member set and key.
-func (r *ring) Order(key string) []string {
+// the successor point of h, a key's hashString — the preference list
+// for affinity routing: element 0 owns the key, element 1 is the first
+// failover (and hedge) target, and so on. Deterministic for a given
+// member set and key.
+func (r *ring) Order(h uint64) []string {
 	out := make([]string, 0, len(r.ids))
 	if len(r.points) == 0 {
 		return out
 	}
-	h := hashString(key)
 	start := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
 	seen := make(map[string]bool, len(r.ids))
 	for i := 0; i < len(r.points) && len(out) < len(r.ids); i++ {

@@ -9,7 +9,7 @@ func TestRingOrderCoversAllMembersOnce(t *testing.T) {
 	ids := []string{"r0", "r1", "r2", "r3", "r4"}
 	r := newRing(ids, 0)
 	for k := 0; k < 100; k++ {
-		order := r.Order(fmt.Sprintf("key-%d", k))
+		order := r.Order(hashString(fmt.Sprintf("key-%d", k)))
 		if len(order) != len(ids) {
 			t.Fatalf("Order returned %d members, want %d", len(order), len(ids))
 		}
@@ -29,7 +29,7 @@ func TestRingOrderDeterministic(t *testing.T) {
 	r2 := newRing(ids, 0)
 	for k := 0; k < 50; k++ {
 		key := fmt.Sprintf("fingerprint-%d", k)
-		o1, o2 := r1.Order(key), r2.Order(key)
+		o1, o2 := r1.Order(hashString(key)), r2.Order(hashString(key))
 		for i := range o1 {
 			if o1[i] != o2[i] {
 				t.Fatalf("key %q: rings disagree: %v vs %v", key, o1, o2)
@@ -47,7 +47,7 @@ func TestRingSpreadsKeys(t *testing.T) {
 	counts := map[string]int{}
 	const keys = 4000
 	for k := 0; k < keys; k++ {
-		counts[r.Order(fmt.Sprintf("plan-fingerprint-%d", k))[0]]++
+		counts[r.Order(hashString(fmt.Sprintf("plan-fingerprint-%d", k)))[0]]++
 	}
 	fair := keys / len(ids)
 	for id, n := range counts {
@@ -69,7 +69,7 @@ func TestRingStabilityOnMembershipGrowth(t *testing.T) {
 	moved := 0
 	for k := 0; k < keys; k++ {
 		key := fmt.Sprintf("plan-%d", k)
-		if small.Order(key)[0] != big.Order(key)[0] {
+		if small.Order(hashString(key))[0] != big.Order(hashString(key))[0] {
 			moved++
 		}
 	}
@@ -87,9 +87,9 @@ func TestRingStabilityOnMembershipGrowth(t *testing.T) {
 func TestRingFailoverOrderStable(t *testing.T) {
 	r := newRing([]string{"x", "y", "z"}, 0)
 	key := "some-canonical-fingerprint"
-	first := r.Order(key)
+	first := r.Order(hashString(key))
 	for i := 0; i < 10; i++ {
-		again := r.Order(key)
+		again := r.Order(hashString(key))
 		for j := range first {
 			if again[j] != first[j] {
 				t.Fatalf("failover order unstable: %v vs %v", first, again)
@@ -100,7 +100,7 @@ func TestRingFailoverOrderStable(t *testing.T) {
 
 func TestRingEmptyKey(t *testing.T) {
 	r := newRing([]string{"only"}, 8)
-	if got := r.Order(""); len(got) != 1 || got[0] != "only" {
+	if got := r.Order(hashString("")); len(got) != 1 || got[0] != "only" {
 		t.Fatalf("Order(\"\") = %v, want [only]", got)
 	}
 }

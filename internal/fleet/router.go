@@ -42,6 +42,7 @@ import (
 	"time"
 
 	"raal/internal/backoff"
+	"raal/internal/lru"
 	"raal/internal/physical"
 	"raal/internal/serve"
 	"raal/internal/sparksim"
@@ -75,8 +76,9 @@ type Config struct {
 	// Replicas is the fleet membership (required, at least one).
 	Replicas []Replica
 	// Planner maps request SQL to candidate plans — used to compute the
-	// affinity fingerprint and to price the local degrade path
-	// (required).
+	// affinity fingerprint of a (SQL, resources) pair the router has not
+	// memoized, and to price the local degrade path (required). It must
+	// be deterministic and safe for concurrent use.
 	Planner serve.PlanFunc
 	// Fingerprint canonicalizes (plan, resources) → affinity key.
 	// Nil falls back to the plan signature plus the resource vector —
@@ -144,6 +146,19 @@ type Config struct {
 	Client *http.Client
 }
 
+// routeMemoSize bounds the router's request → ring-key memo. An entry
+// is the request's SQL and resources plus one hash.
+const routeMemoSize = 1024
+
+// routeKey is what the affinity key is a pure function of: the SQL and
+// the resolved allocation. The memo maps it to the hash of the
+// Fingerprint the ring places, so a repeated request is routed without
+// planning and without keeping the fingerprint string.
+type routeKey struct {
+	sql string
+	res sparksim.Resources
+}
+
 // replicaRT is one replica's runtime state.
 type replicaRT struct {
 	id     string
@@ -164,6 +179,7 @@ type Router struct {
 	log      *slog.Logger
 	client   *http.Client
 	mux      *http.ServeMux
+	memo     *lru.Cache[routeKey, uint64] // request → ring key hash
 
 	rngMu sync.Mutex
 	rng   *rand.Rand
@@ -256,6 +272,7 @@ func New(cfg Config) (*Router, error) {
 		client:   client,
 		rng:      rand.New(rand.NewSource(cfg.Seed)),
 		stop:     make(chan struct{}),
+		memo:     lru.New[routeKey, uint64](routeMemoSize),
 	}
 	ids := make([]string, len(cfg.Replicas))
 	for i, r := range cfg.Replicas {
@@ -409,22 +426,22 @@ func (rt *Router) handleProxy(w http.ResponseWriter, r *http.Request, endpoint s
 	if err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
-			writeJSON(w, http.StatusRequestEntityTooLarge, serve.ErrorResponse{
+			serve.WriteJSON(w, http.StatusRequestEntityTooLarge, serve.ErrorResponse{
 				Error: fmt.Sprintf("request body exceeds %d byte limit", tooLarge.Limit)})
 			return
 		}
-		writeJSON(w, http.StatusBadRequest, serve.ErrorResponse{Error: "bad request body: " + err.Error()})
+		serve.WriteJSON(w, http.StatusBadRequest, serve.ErrorResponse{Error: "bad request body: " + err.Error()})
 		return
 	}
 	var req serve.EstimateRequest
 	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, serve.ErrorResponse{Error: "bad request body: " + err.Error()})
+		serve.WriteJSON(w, http.StatusBadRequest, serve.ErrorResponse{Error: "bad request body: " + err.Error()})
 		return
 	}
 	if req.SQL == "" {
-		writeJSON(w, http.StatusBadRequest, serve.ErrorResponse{Error: `missing "sql"`})
+		serve.WriteJSON(w, http.StatusBadRequest, serve.ErrorResponse{Error: `missing "sql"`})
 		return
 	}
 	res := rt.cfg.DefaultRes
@@ -438,25 +455,36 @@ func (rt *Router) handleProxy(w http.ResponseWriter, r *http.Request, endpoint s
 		res.ExecMemMB = req.MemMB
 	}
 	if err := res.Validate(); err != nil {
-		writeJSON(w, http.StatusBadRequest, serve.ErrorResponse{Error: "invalid resources: " + err.Error()})
+		serve.WriteJSON(w, http.StatusBadRequest, serve.ErrorResponse{Error: "invalid resources: " + err.Error()})
 		return
 	}
-	plans, err := rt.cfg.Planner(req.SQL)
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, serve.ErrorResponse{Error: err.Error()})
-		return
+	// Only a memo miss plans: it needs plans[0] for the fingerprint, and
+	// an unplannable SQL string gets its 400 before anything is sent.
+	// A hit routes on the remembered key and plans only if it has to
+	// degrade.
+	rk := routeKey{sql: req.SQL, res: res}
+	key, hit := rt.memo.Get(rk)
+	var plans []*physical.Plan
+	if !hit {
+		var ok bool
+		if plans, ok = rt.plan(w, req.SQL); !ok {
+			return
+		}
+		key = hashString(rt.cfg.Fingerprint(plans[0], res))
+		rt.memo.Add(rk, key)
 	}
-	if len(plans) == 0 {
-		writeJSON(w, http.StatusBadRequest, serve.ErrorResponse{Error: "no plan for query"})
-		return
-	}
-	key := rt.cfg.Fingerprint(plans[0], res)
 
 	out := rt.forward(r.Context(), "/"+endpoint, body, key)
 	if out.err != nil {
 		if cerr := r.Context().Err(); cerr != nil {
-			writeJSON(w, http.StatusRequestTimeout, serve.ErrorResponse{Error: cerr.Error()})
+			serve.WriteJSON(w, http.StatusRequestTimeout, serve.ErrorResponse{Error: cerr.Error()})
 			return
+		}
+		if plans == nil {
+			var ok bool
+			if plans, ok = rt.plan(w, req.SQL); !ok {
+				return
+			}
 		}
 		rt.degrade(w, endpoint, plans, res, out.err)
 		return
@@ -468,12 +496,26 @@ func (rt *Router) handleProxy(w http.ResponseWriter, r *http.Request, endpoint s
 	w.Write(out.body)
 }
 
+// plan runs the planner; on failure it has already written the 400.
+func (rt *Router) plan(w http.ResponseWriter, sql string) ([]*physical.Plan, bool) {
+	plans, err := rt.cfg.Planner(sql)
+	if err != nil {
+		serve.WriteJSON(w, http.StatusBadRequest, serve.ErrorResponse{Error: err.Error()})
+		return nil, false
+	}
+	if len(plans) == 0 {
+		serve.WriteJSON(w, http.StatusBadRequest, serve.ErrorResponse{Error: "no plan for query"})
+		return nil, false
+	}
+	return plans, true
+}
+
 // degrade is the ladder's last rung: price the plan locally with the
 // analytical fallback and tag the answer degraded. Without a fallback
 // the failure surfaces as a typed 503.
 func (rt *Router) degrade(w http.ResponseWriter, endpoint string, plans []*physical.Plan, res sparksim.Resources, cause error) {
 	if rt.cfg.Fallback == nil {
-		writeJSON(w, http.StatusServiceUnavailable, serve.ErrorResponse{
+		serve.WriteJSON(w, http.StatusServiceUnavailable, serve.ErrorResponse{
 			Error: fmt.Sprintf("fleet: no replica available and no fallback: %v", cause)})
 		return
 	}
@@ -488,7 +530,7 @@ func (rt *Router) degrade(w http.ResponseWriter, endpoint string, plans []*physi
 	for i, p := range cands {
 		c, err := rt.cfg.Fallback(context.Background(), p, res)
 		if err != nil {
-			writeJSON(w, http.StatusServiceUnavailable, serve.ErrorResponse{
+			serve.WriteJSON(w, http.StatusServiceUnavailable, serve.ErrorResponse{
 				Error: fmt.Sprintf("fleet: no replica available and fallback failed: %v (cause: %v)", err, cause)})
 			return
 		}
@@ -501,7 +543,7 @@ func (rt *Router) degrade(w http.ResponseWriter, endpoint string, plans []*physi
 	if !strings.HasPrefix(reason, "fleet:") {
 		reason = "fleet: " + reason
 	}
-	writeJSON(w, http.StatusOK, serve.EstimateResponse{
+	serve.WriteJSON(w, http.StatusOK, serve.EstimateResponse{
 		CostSec: bestCost, Source: "fallback", Degraded: true,
 		Reason:  reason,
 		PlanSig: cands[best].Sig, PlanIndex: best, Candidates: len(cands),
@@ -537,10 +579,10 @@ func (rt *Router) hedgeThreshold() time.Duration {
 	return q
 }
 
-// candidates returns the key's preference list: ring order, health-
+// candidates returns the key hash's preference list: ring order, health-
 // routable members only. Breaker state is checked at attempt time (an
 // Allow has half-open side effects).
-func (rt *Router) candidates(key string) []*replicaRT {
+func (rt *Router) candidates(key uint64) []*replicaRT {
 	order := rt.ring.Order(key)
 	cands := make([]*replicaRT, 0, len(order))
 	for _, id := range order {
@@ -559,7 +601,7 @@ func (rt *Router) candidates(key string) []*replicaRT {
 // cancelled. Every chain goroutine delivers into a buffered channel, so
 // an abandoned loser can always complete and exit (no leak, no
 // double-completion of the caller).
-func (rt *Router) forward(ctx context.Context, path string, body []byte, key string) attemptOut {
+func (rt *Router) forward(ctx context.Context, path string, body []byte, key uint64) attemptOut {
 	cands := rt.candidates(key)
 	if len(cands) == 0 {
 		return attemptOut{err: ErrNoReplicas}
@@ -777,11 +819,5 @@ func (rt *Router) handleFleetz(w http.ResponseWriter, _ *http.Request) {
 			Breaker: rep.brk.State().String(),
 		}
 	}
-	writeJSON(w, http.StatusOK, out)
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
+	serve.WriteJSON(w, http.StatusOK, out)
 }

@@ -238,7 +238,7 @@ func TestRouterSaturated429FailsOverWithoutBreakerPenalty(t *testing.T) {
 		if r.URL.Path == "/readyz" {
 			return false
 		}
-		writeJSON(w, http.StatusTooManyRequests, serve.ErrorResponse{Error: "overloaded"})
+		serve.WriteJSON(w, http.StatusTooManyRequests, serve.ErrorResponse{Error: "overloaded"})
 		return true
 	})
 	status, _, rep := f.estimate(t, "busy")
@@ -267,7 +267,7 @@ func TestRouterClientErrorRelayedWithoutFailover(t *testing.T) {
 		if r.URL.Path == "/readyz" {
 			return false
 		}
-		writeJSON(w, http.StatusBadRequest, serve.ErrorResponse{Error: "replica says no"})
+		serve.WriteJSON(w, http.StatusBadRequest, serve.ErrorResponse{Error: "replica says no"})
 		return true
 	})
 	otherBefore := other.hits.Load()

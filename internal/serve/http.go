@@ -5,13 +5,17 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"io"
 	"log/slog"
 	"net/http"
+	"slices"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"time"
 
+	"raal/internal/lru"
 	"raal/internal/physical"
 	"raal/internal/sparksim"
 )
@@ -87,6 +91,56 @@ type Handler struct {
 	log   *slog.Logger
 	mux   *http.ServeMux
 	ready atomic.Bool
+	plans *lru.Cache[string, planned] // SQL → its planned candidates
+	door  doorkeeper                  // who may enter plans
+}
+
+// planCacheSize bounds the replica's SQL → plans cache. An entry keeps
+// at most MaxCandidates plans (~38 KB of plan trees at the default 3).
+const planCacheSize = 256
+
+// planned is one plan-cache entry: the candidates a request may price
+// (the planner's first MaxCandidates) and how many the planner
+// enumerated in all, which /estimate reports as "candidates".
+//
+// Cached plans are shared by every request for the same SQL. That is
+// safe because a *physical.Plan is read-only once System.Plan returns:
+// only engine execution writes ActRows and Skew, and serving never
+// executes a plan — the encoder and the estimators only read it.
+type planned struct {
+	plans []*physical.Plan
+	total int
+}
+
+// doorkeeper admits a SQL string into the plan cache on its second
+// sighting: it remembers the hashes of the last len(seen) SQL strings
+// that missed the cache. A stream of distinct queries, or one that
+// cycles through more of them than that, therefore never fills the
+// cache with plans that will be evicted before they are reused.
+type doorkeeper struct {
+	mu   sync.Mutex
+	seen [1024]uint64 // FNV-1a hashes, 0 = empty slot
+	next int
+}
+
+// admit records sql's sighting and reports whether it was already among
+// the remembered ones.
+func (d *doorkeeper) admit(sql string) bool {
+	h := fnv.New64a()
+	h.Write([]byte(sql))
+	sum := h.Sum64() | 1 // never the empty-slot marker
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	hit := false
+	for _, v := range d.seen {
+		if v == sum {
+			hit = true
+			break
+		}
+	}
+	d.seen[d.next] = sum
+	d.next = (d.next + 1) % len(d.seen)
+	return hit
 }
 
 // NewHandler builds the HTTP front-end over srv.
@@ -110,7 +164,8 @@ func NewHandler(srv *Server, cfg HTTPConfig) (*Handler, error) {
 	if logger == nil {
 		logger = slog.New(slog.NewTextHandler(io.Discard, nil))
 	}
-	h := &Handler{srv: srv, cfg: cfg, log: logger, mux: http.NewServeMux()}
+	h := &Handler{srv: srv, cfg: cfg, log: logger, mux: http.NewServeMux(),
+		plans: lru.New[string, planned](planCacheSize)}
 	h.mux.HandleFunc("POST /estimate", h.observed("estimate", h.handleEstimate))
 	h.mux.HandleFunc("POST /select", h.observed("select", h.handleSelect))
 	if reg := cfg.Metrics.Registry(); reg != nil {
@@ -122,7 +177,7 @@ func NewHandler(srv *Server, cfg HTTPConfig) (*Handler, error) {
 			if keys == nil {
 				keys = []CacheKeyStats{}
 			}
-			writeJSON(w, http.StatusOK, CacheStatsResponse{Keys: keys})
+			WriteJSON(w, http.StatusOK, CacheStatsResponse{Keys: keys})
 		})
 	}
 	if cfg.ModelAdmin != nil {
@@ -241,46 +296,42 @@ type ErrorResponse struct {
 }
 
 func (h *Handler) handleEstimate(w http.ResponseWriter, r *http.Request) {
-	plans, res, ok := h.prepare(w, r)
+	pl, res, ok := h.prepare(w, r)
 	if !ok {
 		return
 	}
-	result, err := h.srv.Estimate(r.Context(), plans[0], res)
+	result, err := h.srv.Estimate(r.Context(), pl.plans[0], res)
 	if err != nil {
 		h.writeError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, EstimateResponse{
+	WriteJSON(w, http.StatusOK, EstimateResponse{
 		CostSec: result.Cost, Source: result.Source,
 		Degraded: result.Degraded, Reason: result.Reason,
-		PlanSig: plans[0].Sig, PlanIndex: 0, Candidates: len(plans),
+		PlanSig: pl.plans[0].Sig, PlanIndex: 0, Candidates: pl.total,
 	})
 }
 
 func (h *Handler) handleSelect(w http.ResponseWriter, r *http.Request) {
-	plans, res, ok := h.prepare(w, r)
+	pl, res, ok := h.prepare(w, r)
 	if !ok {
 		return
 	}
-	candidates := plans
-	if len(candidates) > h.cfg.MaxCandidates {
-		candidates = candidates[:h.cfg.MaxCandidates]
-	}
-	best, result, err := h.srv.Select(r.Context(), candidates, res)
+	best, result, err := h.srv.Select(r.Context(), pl.plans, res)
 	if err != nil {
 		h.writeError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, EstimateResponse{
+	WriteJSON(w, http.StatusOK, EstimateResponse{
 		CostSec: result.Cost, Source: result.Source,
 		Degraded: result.Degraded, Reason: result.Reason,
-		PlanSig: candidates[best].Sig, PlanIndex: best, Candidates: len(candidates),
+		PlanSig: pl.plans[best].Sig, PlanIndex: best, Candidates: len(pl.plans),
 	})
 }
 
 // prepare decodes, validates, and plans a request; on failure it has
 // already written the error response.
-func (h *Handler) prepare(w http.ResponseWriter, r *http.Request) ([]*physical.Plan, sparksim.Resources, bool) {
+func (h *Handler) prepare(w http.ResponseWriter, r *http.Request) (planned, sparksim.Resources, bool) {
 	var req EstimateRequest
 	body := http.MaxBytesReader(w, r.Body, h.cfg.MaxBodyBytes)
 	dec := json.NewDecoder(body)
@@ -291,16 +342,16 @@ func (h *Handler) prepare(w http.ResponseWriter, r *http.Request) ([]*physical.P
 		// semantics, it is simply too large to admit.
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
-			writeJSON(w, http.StatusRequestEntityTooLarge, ErrorResponse{
+			WriteJSON(w, http.StatusRequestEntityTooLarge, ErrorResponse{
 				Error: fmt.Sprintf("request body exceeds %d byte limit", tooLarge.Limit)})
-			return nil, sparksim.Resources{}, false
+			return planned{}, sparksim.Resources{}, false
 		}
-		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: "bad request body: " + err.Error()})
-		return nil, sparksim.Resources{}, false
+		WriteJSON(w, http.StatusBadRequest, ErrorResponse{Error: "bad request body: " + err.Error()})
+		return planned{}, sparksim.Resources{}, false
 	}
 	if req.SQL == "" {
-		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: `missing "sql"`})
-		return nil, sparksim.Resources{}, false
+		WriteJSON(w, http.StatusBadRequest, ErrorResponse{Error: `missing "sql"`})
+		return planned{}, sparksim.Resources{}, false
 	}
 	res := h.cfg.DefaultRes
 	if req.Executors != 0 {
@@ -313,19 +364,39 @@ func (h *Handler) prepare(w http.ResponseWriter, r *http.Request) ([]*physical.P
 		res.ExecMemMB = req.MemMB
 	}
 	if err := res.Validate(); err != nil {
-		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: "invalid resources: " + err.Error()})
-		return nil, sparksim.Resources{}, false
+		WriteJSON(w, http.StatusBadRequest, ErrorResponse{Error: "invalid resources: " + err.Error()})
+		return planned{}, sparksim.Resources{}, false
 	}
-	plans, err := h.cfg.Planner(req.SQL)
+	pl, err := h.plan(req.SQL)
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: err.Error()})
-		return nil, sparksim.Resources{}, false
+		WriteJSON(w, http.StatusBadRequest, ErrorResponse{Error: err.Error()})
+		return planned{}, sparksim.Resources{}, false
+	}
+	return pl, res, true
+}
+
+// plan returns sql's candidates from the plan cache, or plans it and
+// caches the result if the doorkeeper has seen sql before. Planner
+// errors are never cached.
+func (h *Handler) plan(sql string) (planned, error) {
+	if pl, ok := h.plans.Get(sql); ok {
+		return pl, nil
+	}
+	plans, err := h.cfg.Planner(sql)
+	if err != nil {
+		return planned{}, err
 	}
 	if len(plans) == 0 {
-		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: "no plan for query"})
-		return nil, sparksim.Resources{}, false
+		return planned{}, errors.New("no plan for query")
 	}
-	return plans, res, true
+	pl := planned{plans: plans[:min(len(plans), h.cfg.MaxCandidates)], total: len(plans)}
+	if h.door.admit(sql) {
+		// Copy the kept candidates out, so the cache does not pin the
+		// planner's full slice and every plan it points to.
+		pl.plans = slices.Clone(pl.plans)
+		h.plans.Add(sql, pl)
+	}
+	return pl, nil
 }
 
 // writeError maps the serve package's typed errors to HTTP statuses. Note
@@ -344,11 +415,20 @@ func (h *Handler) writeError(w http.ResponseWriter, err error) {
 		// The client went away; the status is for logs only.
 		status = http.StatusRequestTimeout
 	}
-	writeJSON(w, status, ErrorResponse{Error: err.Error()})
+	WriteJSON(w, status, ErrorResponse{Error: err.Error()})
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// WriteJSON writes v as the JSON body of a response with status. The
+// body is encoded before the header goes out, so a value encoding/json
+// refuses (a NaN or ±Inf float) becomes a typed 500 rather than a 200
+// with an empty body.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
+	body, err := json.Marshal(v)
+	if err != nil {
+		status = http.StatusInternalServerError
+		body, _ = json.Marshal(ErrorResponse{Error: "serve: encoding response: " + err.Error()})
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
+	w.Write(append(body, '\n'))
 }

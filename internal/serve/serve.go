@@ -26,6 +26,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"sync/atomic"
 	"time"
@@ -38,8 +39,8 @@ import (
 var (
 	// ErrOverloaded: all concurrency slots busy and the wait queue full.
 	ErrOverloaded = errors.New("serve: overloaded, request rejected")
-	// ErrInternal: the estimator panicked; the panic value is in the
-	// wrapped message.
+	// ErrInternal: the estimator panicked or returned a non-finite
+	// prediction; the wrapped message says which.
 	ErrInternal = errors.New("serve: internal estimator failure")
 	// ErrDeadline: the per-request deadline expired and the server is
 	// configured to fail (or has no fallback).
@@ -404,6 +405,12 @@ func (s *Server) serve(ctx context.Context, deep, fallback func(context.Context)
 		defer cancel()
 	}
 	preds, deepErr := s.guarded(dctx, idx, deep)
+	if deepErr == nil && !allFinite(preds) {
+		// JSON cannot carry NaN or ±Inf, and no caller can act on one:
+		// a non-finite answer is a deep-path failure like any other.
+		s.met.NonFinite.Inc()
+		deepErr = fmt.Errorf("%w: non-finite prediction", ErrInternal)
+	}
 	if deepErr == nil {
 		served()
 		return preds, Result{Source: "model"}, nil
@@ -434,6 +441,15 @@ func (s *Server) serve(ctx context.Context, deep, fallback func(context.Context)
 	s.met.Degraded.Inc()
 	served()
 	return preds, Result{Source: "fallback", Degraded: true, Reason: deepErr.Error()}, nil
+}
+
+func allFinite(xs []float64) bool {
+	for _, x := range xs {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return false
+		}
+	}
+	return true
 }
 
 // guarded runs fn behind the recover boundary and the deadline select.

@@ -33,11 +33,13 @@ type Metrics struct {
 	// AdmissionRejects counts 429s (slots and queue both full);
 	// DrainRejects counts requests refused because the server is
 	// draining; DeadlineExpiries counts deep-path deadline misses
-	// (whatever the policy turned them into); Degraded counts answers
-	// served by the analytical fallback after a deep failure.
+	// (whatever the policy turned them into); NonFinite counts deep
+	// answers rejected for carrying a NaN or ±Inf; Degraded counts
+	// answers served by the analytical fallback after a deep failure.
 	AdmissionRejects *telemetry.Counter
 	DrainRejects     *telemetry.Counter
 	DeadlineExpiries *telemetry.Counter
+	NonFinite        *telemetry.Counter
 	Degraded         *telemetry.Counter
 
 	// Faults counts injected faults by kind (delay/error/panic).
@@ -84,6 +86,8 @@ func NewMetrics(reg *telemetry.Registry) *Metrics {
 			"Requests rejected because the server was draining (HTTP 503)."),
 		DeadlineExpiries: reg.NewCounter("raal_serve_deadline_expiries_total",
 			"Deep-path estimations abandoned on an expired per-request deadline."),
+		NonFinite: reg.NewCounter("raal_serve_nonfinite_predictions_total",
+			"Deep-model answers rejected for a NaN or infinite prediction (served down the degrade ladder)."),
 		Degraded: reg.NewCounter("raal_serve_degraded_fallbacks_total",
 			"Answers served by the analytical fallback after a deep-model failure."),
 		Faults: reg.NewCounterVec("raal_serve_injected_faults_total",

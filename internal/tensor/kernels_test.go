@@ -201,3 +201,84 @@ func TestStringPreviewTruncates(t *testing.T) {
 		}
 	}
 }
+
+// skipZeroMatMul is the scalar statement of MatMulInto's contract: per
+// element, ascending-k accumulation from +0 over the nonzero a operands
+// only. Skipping matters beyond speed: a zero a times an infinite b
+// would otherwise contribute a NaN.
+func skipZeroMatMul(a, b *Matrix) *Matrix {
+	out := New(a.Rows, b.Cols)
+	for i := 0; i < a.Rows; i++ {
+		for j := 0; j < b.Cols; j++ {
+			var s float64
+			for k := 0; k < a.Cols; k++ {
+				if av := a.At(i, k); av != 0 {
+					s += av * b.At(k, j)
+				}
+			}
+			out.Set(i, j, s)
+		}
+	}
+	return out
+}
+
+// TestMatMulSparseRowsBitExact pins MatMulInto to the scalar reference
+// bit for bit (Float64bits, so NaN payloads and signed zeros count) on
+// encoded-plan-like rows — about two thirds zeros — and on the edge
+// cases the nonzero gather must preserve: all-zero rows, −0 and NaN in
+// a, and ±Inf in b under a zero a. Widths past regPathMaxK exercise the
+// streaming path on the same inputs.
+func TestMatMulSparseRowsBitExact(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	negZero := math.Copysign(0, -1)
+	for trial := 0; trial < 60; trial++ {
+		m := 1 + rng.Intn(8)
+		k := 1 + rng.Intn(64)
+		if trial%10 == 9 {
+			k = regPathMaxK + 1 + rng.Intn(40)
+		}
+		n := 1 + rng.Intn(13)
+		a, b := New(m, k), randMat(rng, k, n)
+		for i := range a.Data {
+			switch r := rng.Intn(12); {
+			case r < 8:
+				// zero: the common case in encoded rows
+			case r == 8:
+				a.Data[i] = negZero
+			default:
+				a.Data[i] = rng.NormFloat64()
+			}
+		}
+		// Row 0 stays all zero; a NaN sits in the last row.
+		for kk := 0; kk < k; kk++ {
+			a.Data[kk] = 0
+		}
+		if m > 1 && trial%3 == 0 {
+			a.Data[(m-1)*k+rng.Intn(k)] = math.NaN()
+		}
+		// Infinities in a b row whose a column holds only +0 and −0.
+		kz := rng.Intn(k)
+		for i := 1; i < m; i++ {
+			a.Data[i*k+kz] = negZero
+		}
+		for j := 0; j < n; j++ {
+			b.Data[kz*n+j] = math.Inf(1 - 2*(j%2))
+		}
+
+		want := skipZeroMatMul(a, b)
+		got := randMat(rng, m, n) // dirty output: must be fully overwritten
+		MatMulInto(got, a, b)
+		for i := range want.Data {
+			if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
+				t.Fatalf("trial %d (%dx%d·%dx%d): element %d = %v (%#x), want %v (%#x)",
+					trial, m, k, k, n, i, got.Data[i], math.Float64bits(got.Data[i]),
+					want.Data[i], math.Float64bits(want.Data[i]))
+			}
+		}
+		for j := 0; j < n; j++ {
+			if math.Float64bits(got.Data[j]) != 0 {
+				t.Fatalf("trial %d: all-zero row produced %v at column %d, want +0", trial, got.Data[j], j)
+			}
+		}
+	}
+}

@@ -185,47 +185,56 @@ func MatMulInto(out, a, b *Matrix) {
 // L2 size the re-reads stall and the streaming ikj kernel wins.
 const regPathMaxBFloats = 1 << 15
 
+// regPathMaxK bounds a.Cols for the register path, which gathers each a
+// row's nonzeros into fixed stack buffers of this size. Every weight
+// matrix in the cost model is far narrower.
+const regPathMaxK = 256
+
 // matMulRows is the serial out = a×b kernel over a contiguous row range
 // (the views built by MatMulInto). It picks between two loop orders that
 // produce bit-identical results (per element: ascending-k accumulation,
 // a-zeros skipped):
 //
-//   - register path (jik): four output columns accumulate in registers
-//     while a's row streams once; out is written exactly once, never
-//     re-read. Wins while b stays cache-resident, which covers every
-//     weight matrix in the cost model.
+//   - register path (jik): each a row's nonzero (offset, value) pairs are
+//     gathered once, then four output columns accumulate in registers
+//     over only those pairs; out is written exactly once, never re-read.
+//     Wins while b stays cache-resident, which covers every weight
+//     matrix in the cost model, and skips the ~2/3 zeros of encoded plan
+//     rows once per row instead of once per column block.
 //   - streaming path (ikj): the inner loop streams contiguous rows of b
 //     and out, trading out re-reads for sequential access to a large b.
 func matMulRows(out, a, b *Matrix) {
 	n := b.Cols
-	if len(b.Data) <= regPathMaxBFloats {
+	if len(b.Data) <= regPathMaxBFloats && a.Cols <= regPathMaxK {
+		var offBuf [regPathMaxK]int
+		var valBuf [regPathMaxK]float64
 		for i := 0; i < a.Rows; i++ {
-			arow := a.Data[i*a.Cols : (i+1)*a.Cols]
+			nz := 0
+			for k, av := range a.Data[i*a.Cols : (i+1)*a.Cols] {
+				if av != 0 {
+					offBuf[nz], valBuf[nz] = k*n, av
+					nz++
+				}
+			}
+			offs, vals := offBuf[:nz], valBuf[:nz]
 			orow := out.Data[i*n : (i+1)*n]
 			j := 0
 			for ; j+4 <= n; j += 4 {
 				var s0, s1, s2, s3 float64
-				idx := j
-				for _, av := range arow {
-					if av != 0 {
-						b4 := b.Data[idx : idx+4 : idx+4]
-						s0 += av * b4[0]
-						s1 += av * b4[1]
-						s2 += av * b4[2]
-						s3 += av * b4[3]
-					}
-					idx += n
+				for p, off := range offs {
+					av := vals[p]
+					b4 := b.Data[off+j : off+j+4 : off+j+4]
+					s0 += av * b4[0]
+					s1 += av * b4[1]
+					s2 += av * b4[2]
+					s3 += av * b4[3]
 				}
 				orow[j], orow[j+1], orow[j+2], orow[j+3] = s0, s1, s2, s3
 			}
 			for ; j < n; j++ {
 				var s float64
-				idx := j
-				for _, av := range arow {
-					if av != 0 {
-						s += av * b.Data[idx]
-					}
-					idx += n
+				for p, off := range offs {
+					s += vals[p] * b.Data[off+j]
 				}
 				orow[j] = s
 			}

@@ -94,8 +94,8 @@ func TestRecommendResourcesConcurrentSharedCache(t *testing.T) {
 	}
 
 	cached := map[*encode.Sample][]float64{}
-	for el := cm.cache.ll.Front(); el != nil; el = el.Next() {
-		s := el.Value.(*cacheEntry).sample
+	for _, e := range cm.cache.lru.Values() {
+		s := e.sample.Load()
 		cached[s] = append([]float64(nil), s.Resource...)
 	}
 	if len(cached) != len(plans) {
